@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cfg.blocks import NodeKind
-from repro.cfg.concurrency import may_happen_in_parallel
+from repro.cfg.blocks import BasicBlock, NodeKind
+from repro.cfg.concurrency import may_happen_in_parallel, thread_paths_diverge
 from repro.cfg.graph import ConflictEdge, FlowGraph, MutexEdge, SyncEdge
 from repro.ir.expr import EVar
 from repro.ir.stmts import IRStmt, Phi, Pi, SAssign
 
 __all__ = [
     "AccessSite",
+    "ConcurrentSites",
     "add_conflict_edges",
     "add_mutex_edges",
     "add_sync_edges",
@@ -113,37 +114,83 @@ def collect_access_sites(graph: FlowGraph) -> dict[str, list[AccessSite]]:
     return sites
 
 
+class ConcurrentSites:
+    """The access sites of a variable that may happen in parallel with
+    a block.
+
+    MHP depends on nothing but the two blocks' ``thread_path``s, and a
+    graph has only a handful of distinct paths, so each answer is
+    computed once per (variable, thread path) and shared by every block
+    on that path.  Sites come back in ``sites`` order, which
+    :func:`collect_access_sites` makes (block id, position) order, in a
+    list shared by every caller asking the same question: read it, do
+    not modify it.
+    """
+
+    __slots__ = ("graph", "sites", "_memo")
+
+    def __init__(
+        self, graph: FlowGraph, sites: dict[str, list[AccessSite]]
+    ) -> None:
+        self.graph = graph
+        self.sites = sites
+        self._memo: dict[tuple[str, tuple, bool], list[AccessSite]] = {}
+
+    def of(
+        self, var: str, block: BasicBlock, real_defs: bool = False
+    ) -> list[AccessSite]:
+        """Sites of ``var`` concurrent with ``block`` (only the real
+        definitions with ``real_defs``)."""
+        path = block.thread_path
+        key = (var, path, real_defs)
+        found = self._memo.get(key)
+        if found is None:
+            blocks = self.graph.blocks
+            found = [
+                site
+                for site in self.sites.get(var, ())
+                if (site.is_real_def or not real_defs)
+                and thread_paths_diverge(path, blocks[site.block_id].thread_path)
+            ]
+            self._memo[key] = found
+        return found
+
+
 def shared_variables(
     graph: FlowGraph,
     sites: Optional[dict[str, list[AccessSite]]] = None,
 ) -> set[str]:
-    """Variables with two MHP accesses, at least one of them a write."""
+    """Variables with two MHP accesses, at least one of them a write.
+
+    MHP depends only on thread paths, so the test runs over the
+    distinct paths of the variable's writes and accesses.
+    """
     if sites is None:
         sites = collect_access_sites(graph)
     shared: set[str] = set()
     for var, all_accesses in sites.items():
-        def_blocks: set[int] = set()
-        access_blocks: set[int] = set()
+        def_paths: set[tuple] = set()
+        access_paths: set[tuple] = set()
         for s in all_accesses:
             if not is_memory_access(s):
                 continue
+            path = graph.blocks[s.block_id].thread_path
             if s.is_real_def:
-                def_blocks.add(s.block_id)
-            access_blocks.add(s.block_id)
-        if not def_blocks:
-            continue
-        found = False
-        for d_id in def_blocks:
-            d_block = graph.blocks[d_id]
-            for a_id in access_blocks:
-                if may_happen_in_parallel(d_block, graph.blocks[a_id]):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
+                def_paths.add(path)
+            access_paths.add(path)
+        if any(
+            thread_paths_diverge(d, a) for d in def_paths for a in access_paths
+        ):
             shared.add(var)
     return shared
+
+
+def _blocks_concurrent_with(
+    graph: FlowGraph, path: tuple, block_ids: list[int]
+) -> list[int]:
+    return [
+        b for b in block_ids if thread_paths_diverge(path, graph.blocks[b].thread_path)
+    ]
 
 
 def add_conflict_edges(
@@ -169,15 +216,23 @@ def add_conflict_edges(
                 use_blocks.add(s.block_id)
         if not def_blocks:
             continue
-        for d_id in sorted(def_blocks):
-            d_block = graph.blocks[d_id]
-            for u_id in sorted(use_blocks):
-                if may_happen_in_parallel(d_block, graph.blocks[u_id]):
-                    edges.append(ConflictEdge(d_id, u_id, var, "DU"))
-            for d2_id in sorted(def_blocks):
-                if d2_id <= d_id:
-                    continue  # emit write-write pairs once
-                if may_happen_in_parallel(d_block, graph.blocks[d2_id]):
+        # MHP depends only on thread paths: find each def path's
+        # concurrent blocks once, then emit its defs' edges from them.
+        uses_sorted = sorted(use_blocks)
+        defs_sorted = sorted(def_blocks)
+        concurrent: dict[tuple, tuple[list[int], list[int]]] = {}
+        for d_id in defs_sorted:
+            path = graph.blocks[d_id].thread_path
+            if path not in concurrent:
+                concurrent[path] = (
+                    _blocks_concurrent_with(graph, path, uses_sorted),
+                    _blocks_concurrent_with(graph, path, defs_sorted),
+                )
+            conc_uses, conc_defs = concurrent[path]
+            for u_id in conc_uses:
+                edges.append(ConflictEdge(d_id, u_id, var, "DU"))
+            for d2_id in conc_defs:
+                if d2_id > d_id:  # emit write-write pairs once
                     edges.append(ConflictEdge(d_id, d2_id, var, "DD"))
     graph.conflict_edges = edges
     return graph.conflict_edges

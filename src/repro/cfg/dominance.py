@@ -68,6 +68,12 @@ class DominatorTree:
             return False
         return self._tin[a] <= self._tin[b] and self._tout[b] <= self._tout[a]
 
+    def interval(self, block: int) -> tuple[int, int]:
+        """Euler interval ``[tin, tout)`` of a reachable ``block``:
+        ``block`` dominates exactly the reachable blocks whose ``tin``
+        falls inside it."""
+        return self._tin[block], self._tout[block]
+
     def strictly_dominates(self, a: int, b: int) -> bool:
         return a != b and self.dominates(a, b)
 

@@ -67,9 +67,13 @@ def build_cssa(program: ProgramIR) -> CSSAForm:
     """Convert a non-SSA ``program`` (in place) to CSSA form."""
     graph = build_flow_graph(program)
     ssa = build_ssa(program, graph)
-    shared = shared_variables(graph, collect_access_sites(graph))
-    pis = place_pi_terms(program, graph)
-    add_conflict_edges(graph)
+    sites = collect_access_sites(graph)
+    shared = shared_variables(graph, sites)
+    pis = place_pi_terms(program, graph, sites, shared)
+    # π placement moves each rewritten read to its π's control argument
+    # in the same block and adds no real definition, so the block-level
+    # conflict edges of the pre-π sites are those of the CSSA form.
+    add_conflict_edges(graph, sites)
     add_mutex_edges(graph)
     add_sync_edges(graph)
     from repro.obs.trace import get_tracer

@@ -23,12 +23,18 @@ counter — the same convention visible in the paper's figures.
 
 from __future__ import annotations
 
-from repro.cfg.concurrency import may_happen_in_parallel
-from repro.cfg.conflicts import collect_access_sites, shared_variables
+from typing import Optional
+
+from repro.cfg.conflicts import (
+    AccessSite,
+    ConcurrentSites,
+    collect_access_sites,
+    shared_variables,
+)
 from repro.cfg.graph import FlowGraph
 from repro.errors import SSAError
 from repro.ir.expr import EVar
-from repro.ir.stmts import IRStmt, Phi, Pi, SAssign, SBranch
+from repro.ir.stmts import IRStmt, Phi, Pi
 from repro.ir.structured import (
     Body,
     IfRegion,
@@ -65,21 +71,28 @@ def _structural_insert_before(stmt: IRStmt, pi: Pi) -> None:
     raise SSAError(f"cannot find structural position of {stmt!r}")
 
 
-def place_pi_terms(program: ProgramIR, graph: FlowGraph) -> list[Pi]:
-    """Insert π terms for every conflicting use; returns them."""
-    sites = collect_access_sites(graph)
-    shared = shared_variables(graph, sites)
+def place_pi_terms(
+    program: ProgramIR,
+    graph: FlowGraph,
+    sites: Optional[dict[str, list[AccessSite]]] = None,
+    shared: Optional[set[str]] = None,
+) -> list[Pi]:
+    """Insert π terms for every conflicting use; returns them.
 
-    # Real definitions of each shared variable, in deterministic order.
-    real_defs: dict[str, list] = {}
-    for var in shared:
-        defs = [s for s in sites.get(var, []) if s.is_real_def]
-        defs.sort(key=lambda s: (s.block_id, s.index))
-        real_defs[var] = defs
+    ``sites`` and ``shared`` are the graph's access sites and shared
+    variables when the caller has already computed them.
+    """
+    if sites is None:
+        sites = collect_access_sites(graph)
+    if shared is None:
+        shared = shared_variables(graph, sites)
+    # Real definitions of v concurrent with a block, in (block,
+    # position) order: computed once per (v, thread path).
+    concurrent = ConcurrentSites(graph, sites)
 
     pis: list[Pi] = []
-    # (block_id, position, stmt) for every candidate statement, walking
-    # blocks so positions come from the graph.
+    # (stmt, block_id, uses by shared variable) for every candidate
+    # statement, walking blocks so positions come from the graph.
     pending: list[tuple[IRStmt, int, dict[str, list[EVar]]]] = []
     for block in graph.blocks:
         for stmt in block.stmts:
@@ -97,23 +110,13 @@ def place_pi_terms(program: ProgramIR, graph: FlowGraph) -> list[Pi]:
         block = graph.blocks[block_id]
         for var in sorted(groups):
             uses = groups[var]
-            conflict_defs = [
-                d
-                for d in real_defs[var]
-                if may_happen_in_parallel(block, graph.blocks[d.block_id])
-            ]
+            conflict_defs = concurrent.of(var, block, real_defs=True)
             if not conflict_defs:
                 continue
             first = uses[0]
             control = EVar(first.name, first.version, first.def_site)
-            conflicts = []
-            seen = set()
-            for d in conflict_defs:
-                assert isinstance(d.stmt, SAssign)
-                if id(d.stmt) in seen:
-                    continue
-                seen.add(id(d.stmt))
-                conflicts.append(EVar(var, d.stmt.version, d.stmt))
+            # One real definition per statement: no duplicates to drop.
+            conflicts = [EVar(var, d.stmt.version, d.stmt) for d in conflict_defs]
             temp = program.fresh_name(f"t{control.ssa_name}")
             pi = Pi(temp, var, control, conflicts)
             # Rewrite the statement's uses of var to the π temporary.

@@ -16,7 +16,8 @@ is the paper's deliberate deviation from Masticola's strict intervals.
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_left
+from typing import Iterable, Iterator, Optional
 
 from repro.cfg.blocks import NodeKind
 from repro.cfg.dominance import (
@@ -30,22 +31,83 @@ from repro.mutex.structures import MutexBody, MutexStructure
 __all__ = ["identify_mutex_structures"]
 
 
-def _body_nodes(
-    graph: FlowGraph,
-    domtree: DominatorTree,
-    pdomtree: DominatorTree,
-    n: int,
-    x: int,
-) -> frozenset[int]:
-    """``SDOM⁻¹(n) ∩ PDOM⁻¹(x)``: strictly dominated by the Lock node
-    and post-dominated by the Unlock node."""
-    members = set()
-    for block_id in domtree.dominated_by(n):
-        if block_id == n:
-            continue
-        if pdomtree.dominates(x, block_id):
-            members.add(block_id)
-    return frozenset(members)
+class _Grid:
+    """Blocks as points ``(tin in the dominator tree, tin in the
+    post-dominator tree)``.
+
+    ``n`` dominates exactly the blocks whose first coordinate falls in
+    n's Euler interval ``[tin, tout)``, and ``x`` post-dominates exactly
+    those whose second coordinate falls in x's, so the blocks between a
+    Lock and an Unlock form a rectangle.  A merge-sort tree over the
+    first coordinate (each node keeps its points sorted by the second)
+    reports a rectangle's blocks with O(log² B) bisections plus one step
+    per block reported, instead of scanning either tree's subtree.
+    Blocks unreachable in either tree are left out: they dominate and
+    are dominated by nothing.
+    """
+
+    __slots__ = ("domtree", "pdomtree", "_tins", "_by_tin", "_size", "_keys", "_blocks")
+
+    def __init__(
+        self, domtree: DominatorTree, pdomtree: DominatorTree, blocks: Iterable[int]
+    ) -> None:
+        points = sorted(
+            (domtree.interval(b)[0], pdomtree.interval(b)[0], b)
+            for b in blocks
+            if domtree.is_reachable(b) and pdomtree.is_reachable(b)
+        )
+        self.domtree = domtree
+        self.pdomtree = pdomtree
+        self._tins = [tin for tin, _, _ in points]
+        self._by_tin = [b for _, _, b in points]
+        size = 1
+        while size < len(points):
+            size *= 2
+        self._size = size
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(2 * size)]
+        for i, (_, ptin, b) in enumerate(points):
+            columns[size + i] = [(ptin, b)]
+        for node in range(size - 1, 0, -1):
+            columns[node] = sorted(columns[2 * node] + columns[2 * node + 1])
+        self._keys = [[ptin for ptin, _ in col] for col in columns]
+        self._blocks = [[b for _, b in col] for col in columns]
+
+    def _dom_range(self, n: int) -> tuple[int, int]:
+        """Positions, in first-coordinate order, of the blocks n dominates."""
+        if not self.domtree.is_reachable(n):
+            return 0, 0
+        tin, tout = self.domtree.interval(n)
+        lo = bisect_left(self._tins, tin)
+        return lo, bisect_left(self._tins, tout, lo)
+
+    def dominated_by(self, n: int) -> list[int]:
+        """The blocks ``n`` dominates (``n`` too if it is a point)."""
+        lo, hi = self._dom_range(n)
+        return self._by_tin[lo:hi]
+
+    def between(self, n: int, x: int) -> Iterator[int]:
+        """The blocks ``m`` with ``n DOM m`` and ``x PDOM m``, lazily
+        and in no particular order."""
+        if not self.pdomtree.is_reachable(x):
+            return
+        lo, hi = self._dom_range(n)
+        ptin, ptout = self.pdomtree.interval(x)
+        lo += self._size
+        hi += self._size
+        while lo < hi:
+            if lo & 1:
+                yield from self._column(lo, ptin, ptout)
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                yield from self._column(hi, ptin, ptout)
+            lo //= 2
+            hi //= 2
+
+    def _column(self, node: int, ptin: int, ptout: int) -> list[int]:
+        keys = self._keys[node]
+        first = bisect_left(keys, ptin)
+        return self._blocks[node][first : bisect_left(keys, ptout, first)]
 
 
 def identify_mutex_structures(
@@ -53,7 +115,11 @@ def identify_mutex_structures(
     domtree: Optional[DominatorTree] = None,
     pdomtree: Optional[DominatorTree] = None,
 ) -> dict[str, MutexStructure]:
-    """Run Algorithm A.1; returns lock name → :class:`MutexStructure`."""
+    """Run Algorithm A.1; returns lock name → :class:`MutexStructure`.
+
+    Bodies come out per lock variable in ``(Lock, Unlock)`` order of
+    the nodes' block ids, the order LICM visits them in.
+    """
     if domtree is None:
         domtree = compute_dominators(graph)
     if pdomtree is None:
@@ -67,6 +133,7 @@ def identify_mutex_structures(
     for block in graph.nodes_of_kind(NodeKind.UNLOCK):
         punlock.setdefault(block.stmts[0].lock_name, []).append(block.id)
 
+    blocks: Optional[_Grid] = None  # built for the first body found
     structures: dict[str, MutexStructure] = {}
     lock_vars = sorted(set(plock) | set(punlock))
     pairs_examined = 0
@@ -74,29 +141,33 @@ def identify_mutex_structures(
         structure = MutexStructure(lock_name)
         locks = plock.get(lock_name, [])
         unlocks = punlock.get(lock_name, [])
-        all_ops = locks + unlocks
+
+        ops = _Grid(domtree, pdomtree, locks + unlocks)
 
         # Phase 2: candidate pairing (Definition 3, conditions 1–2).
+        # Only the Unlocks in n's dominator interval can pair with n;
+        # visiting them in list order keeps the candidate order.
+        unlock_rank = {x: i for i, x in enumerate(unlocks)}
         candidates: list[tuple[int, int]] = []
         for n in locks:
-            for x in unlocks:
+            dominated = [x for x in ops.dominated_by(n) if x in unlock_rank]
+            for x in sorted(dominated, key=unlock_rank.__getitem__):
                 pairs_examined += 1
-                if domtree.dominates(n, x) and pdomtree.dominates(x, n):
+                if pdomtree.dominates(x, n):
                     candidates.append((n, x))
 
         # Phase 3: drop candidates containing other Lock/Unlock(L) ops
-        # (Definition 3, condition 3 / A.1 lines 19–26).
+        # (Definition 3, condition 3 / A.1 lines 19–26).  The rectangle
+        # query stops at the first op other than n and x.
         for n, x in candidates:
-            illegal = False
-            for m in all_ops:
-                if m == n or m == x:
-                    continue
-                if domtree.dominates(n, m) and pdomtree.dominates(x, m):
-                    illegal = True
-                    break
-            if not illegal:
-                nodes = _body_nodes(graph, domtree, pdomtree, n, x)
-                structure.add(MutexBody(lock_name, n, x, nodes))
+            if any(m != n and m != x for m in ops.between(n, x)):
+                continue
+            # SDOM⁻¹(n) ∩ PDOM⁻¹(x): strictly dominated by the Lock node
+            # and post-dominated by the Unlock node.
+            if blocks is None:
+                blocks = _Grid(domtree, pdomtree, range(len(graph.blocks)))
+            nodes = frozenset(blocks.between(n, x)) - {n}
+            structure.add(MutexBody(lock_name, n, x, nodes))
         structures[lock_name] = structure
     from repro.obs.trace import get_tracer
 

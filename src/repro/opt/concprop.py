@@ -34,6 +34,8 @@ from repro.ir.structured import (
     iter_statements,
     remove_stmt,
 )
+from repro.mutex.identify import identify_mutex_structures
+from repro.mutex.structures import MutexStructure
 from repro.opt.folding import eval_expr
 from repro.opt.lattice import BOTTOM, TOP, ConstValue, LatticeValue, meet, meet_all
 from repro.ssa.chains import UseMap, build_use_map
@@ -76,6 +78,9 @@ class _Analysis:
         self.usemap: UseMap = build_use_map(program)
         self._flow: list[tuple[int, int]] = []
         self._ssa: list[IRStmt] = []
+        #: statements currently waiting on ``_ssa``: one pending
+        #: re-evaluation sees every lattice change made before it runs
+        self._queued: set[IRStmt] = set()
         #: lattice evaluations performed — the pass's deterministic
         #: work measure (see repro.obs.prof)
         self.evals = 0
@@ -153,6 +158,7 @@ class _Analysis:
                 self._process_edge(edge)
             else:
                 stmt = self._ssa.pop()
+                self._queued.discard(stmt)
                 self._revisit(stmt)
 
     @staticmethod
@@ -212,7 +218,9 @@ class _Analysis:
             return
         for _use, holder in self.usemap.uses_of(stmt):
             if isinstance(holder, (SAssign, Phi, Pi)):
-                self._ssa.append(holder)
+                if holder not in self._queued:
+                    self._queued.add(holder)
+                    self._ssa.append(holder)
             elif isinstance(holder, SBranch):
                 if self.graph.contains_stmt(holder):
                     holder_block = self.graph.block_of(holder)
@@ -235,18 +243,17 @@ class _Transformer:
         analysis: _Analysis,
         stats: ConstPropStats,
         fold_output_uses: bool = True,
+        structures: Optional[dict[str, MutexStructure]] = None,
     ) -> None:
         self.a = analysis
         self.stats = stats
         self.fold_output_uses = fold_output_uses
-        self._structures = None
-        self._sites = None
+        self._structures = structures
+        self._concurrent = None
         self._body_dataflow: dict[int, object] = {}
 
     def _mutex_structures(self):
         if self._structures is None:
-            from repro.mutex.identify import identify_mutex_structures
-
             self._structures = identify_mutex_structures(self.a.graph)
         return self._structures
 
@@ -281,16 +288,15 @@ class _Transformer:
         body); anything weaker can overwrite a concurrent thread's
         value with the φ's control-flow constant.
         """
-        from repro.cfg.concurrency import may_happen_in_parallel
-        from repro.cfg.conflicts import collect_access_sites
+        from repro.cfg.conflicts import ConcurrentSites, collect_access_sites
 
         graph = self.a.graph
         if not graph.contains_stmt(phi):
             return False
         block_id, index = graph.location_of(phi)
         block = graph.blocks[block_id]
-        if self._sites is None:
-            self._sites = collect_access_sites(graph)
+        if self._concurrent is None:
+            self._concurrent = ConcurrentSites(graph, collect_access_sites(graph))
 
         structures = self._mutex_structures()
         my_bodies = {}  # lock name → body containing the φ
@@ -299,11 +305,7 @@ class _Transformer:
             if body is not None:
                 my_bodies[lock_name] = body
 
-        for site in self._sites.get(phi.target, []):
-            if not site.is_real_def:
-                continue
-            if not may_happen_in_parallel(block, graph.blocks[site.block_id]):
-                continue
+        for site in self._concurrent.of(phi.target, block, real_defs=True):
             # The concurrent def must be provably unable to reach here.
             killed = False
             for lock_name, my_body in my_bodies.items():
@@ -536,19 +538,22 @@ def concurrent_constant_propagation(
     program: ProgramIR,
     graph: Optional[FlowGraph] = None,
     fold_output_uses: bool = True,
+    structures: Optional[dict[str, MutexStructure]] = None,
 ) -> ConstPropStats:
     """Run CSCC on a CSSA/CSSAME-form ``program``, in place.
 
     ``fold_output_uses=False`` keeps ``print`` arguments symbolic (the
     paper's figures do this), so constant stores feeding prints remain
-    visible to later passes.
+    visible to later passes.  ``structures`` are the mutex structures
+    of ``graph`` when the caller already has them (Algorithm A.1 runs
+    on demand otherwise).
     """
     if graph is None:
         graph = build_flow_graph(program)
     analysis = _Analysis(program, graph)
     analysis.run()
     stats = ConstPropStats()
-    _Transformer(analysis, stats, fold_output_uses).run()
+    _Transformer(analysis, stats, fold_output_uses, structures).run()
     from repro.obs.trace import get_tracer
 
     if get_tracer().enabled:

@@ -34,8 +34,7 @@ from typing import Optional
 
 from repro.cfg.blocks import BasicBlock, NodeKind
 from repro.cfg.builder import build_flow_graph
-from repro.cfg.concurrency import may_happen_in_parallel
-from repro.cfg.conflicts import AccessSite, collect_access_sites
+from repro.cfg.conflicts import ConcurrentSites, collect_access_sites
 from repro.cfg.graph import FlowGraph
 from repro.ir.stmts import IRStmt, SAssign, SLock, SUnlock
 from repro.ir.structured import Body, ProgramIR, remove_stmt
@@ -69,25 +68,18 @@ class _Conflicts:
     """MHP conflict queries over base variable names."""
 
     def __init__(self, graph: FlowGraph) -> None:
-        self.graph = graph
-        self.sites: dict[str, list[AccessSite]] = collect_access_sites(graph)
+        # Collected once, before any motion: the answers are per
+        # (variable, thread path) and motion never changes a path.
+        self.concurrent = ConcurrentSites(graph, collect_access_sites(graph))
         #: Definition 5 checks performed — LICM's deterministic work
         #: measure (see repro.obs.prof)
         self.independence_checks = 0
 
     def has_concurrent_write(self, var: str, block: BasicBlock) -> bool:
-        for site in self.sites.get(var, []):
-            if site.is_real_def and may_happen_in_parallel(
-                block, self.graph.blocks[site.block_id]
-            ):
-                return True
-        return False
+        return bool(self.concurrent.of(var, block, real_defs=True))
 
     def has_concurrent_access(self, var: str, block: BasicBlock) -> bool:
-        for site in self.sites.get(var, []):
-            if may_happen_in_parallel(block, self.graph.blocks[site.block_id]):
-                return True
-        return False
+        return bool(self.concurrent.of(var, block))
 
     def lock_independent(self, stmt: IRStmt, block: BasicBlock) -> bool:
         """Definition 5, conservatively: no concurrent write to anything

@@ -160,19 +160,13 @@ def local_value_numbering(
         graph = build_flow_graph(program)
     stats = LVNStats()
 
-    from repro.cfg.concurrency import may_happen_in_parallel
-    from repro.cfg.conflicts import collect_access_sites
+    from repro.cfg.conflicts import ConcurrentSites, collect_access_sites
 
-    sites = collect_access_sites(graph)
+    concurrent = ConcurrentSites(graph, collect_access_sites(graph))
 
     def make_can_reuse(block):
         def can_reuse(base: str) -> bool:
-            for site in sites.get(base, []):
-                if site.is_real_def and may_happen_in_parallel(
-                    block, graph.blocks[site.block_id]
-                ):
-                    return False
-            return True
+            return not concurrent.of(base, block, real_defs=True)
 
         return can_reuse
 

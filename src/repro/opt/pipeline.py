@@ -111,9 +111,12 @@ def optimize(
                     # The freshly built graph gives exact edge-executability
                     # reasoning; after any transform it is stale and the
                     # pass must fall back to chain-only propagation.
-                    graph = form.graph if report.graph_is_fresh else None
+                    fresh = report.graph_is_fresh
                     report.constprop = concurrent_constant_propagation(
-                        program, graph, fold_output_uses=fold_output_uses
+                        program,
+                        form.graph if fresh else None,
+                        fold_output_uses=fold_output_uses,
+                        structures=form.structures if fresh else None,
                     )
                     stats = {
                         "constants": len(report.constprop.constants),

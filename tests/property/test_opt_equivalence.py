@@ -6,6 +6,7 @@ repro.verify.equivalence); additionally the original source program must
 *refine into* its CSSA form.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.structured import clone_program
@@ -127,3 +128,42 @@ def test_pipeline_sound_with_barriers(config, n_barriers):
     program = generate_program(config)
     report = optimize(program)
     _check(report.baseline, program)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "known LICM defect: A.5 lines 43-45 delete T0's emptied lock(LK0) "
+        "pair, which still kept T0 out while T1 held LK0 (47 outcomes vs "
+        "44); see DESIGN.md section 4b, note 5"
+    ),
+)
+def test_licm_keeps_an_emptied_section_that_orders_threads():
+    """Pinned counterexample, found by hypothesis in
+    ``test_pipeline_without_mutex_also_sound``.
+
+    LICM hoists T0's two private statements out of its ``lock(LK0)``
+    section and then removes the empty Lock/Unlock pair.  The empty
+    section was not a no-op: T0 could not pass it while T1 held LK0,
+    so T0's later accesses to the shared variable never fell inside
+    T1's section.  Without it they do, and three new outcomes appear.
+    """
+    config = GeneratorConfig(
+        seed=490,
+        n_threads=2,
+        stmts_per_thread=4,
+        n_shared=1,
+        n_private=1,
+        n_locks=2,
+        p_if=0.0,
+        p_critical=0.375,
+        p_call=0.0,
+        race_free=False,
+    )
+    program = generate_program(config)
+    report = optimize(program, passes=("licm",))
+    assert report.licm.locks_removed == 2
+    res = exhaustive_equivalence(report.baseline, program, max_states=_MAX_STATES)
+    assert res.complete
+    assert res.equal, res.explain()
