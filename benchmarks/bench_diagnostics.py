@@ -4,11 +4,9 @@ Measures the cost of the warning/race analyses and checks their
 precision/recall on program families with planted synchronization bugs.
 """
 
-from repro.api import diagnose_source
 from repro.bench import register
+from repro.session import Session
 from repro.synth import GeneratorConfig, generate_source
-
-from benchmarks.common import print_table
 
 BUGGY = {
     "unmatched-lock": """
@@ -42,7 +40,7 @@ BUGGY = {
 def bench_diagnostics() -> dict:
     planted = {}
     for name, source in BUGGY.items():
-        warnings, races = diagnose_source(source)
+        warnings, races = Session().diagnose(source)
         planted[name] = {"warnings": len(warnings), "races": len(races)}
     assert planted["unmatched-lock"]["warnings"] >= 1
     assert planted["improper-nesting"]["warnings"] >= 1
@@ -54,7 +52,7 @@ def bench_diagnostics() -> dict:
             GeneratorConfig(seed=seed, race_free=True, n_locks=2,
                             p_critical=0.7)
         )
-        _warnings, races = diagnose_source(source)
+        _warnings, races = Session().diagnose(source)
         false_positives += len(races)
     assert false_positives == 0
     detected = 0
@@ -63,7 +61,7 @@ def bench_diagnostics() -> dict:
             GeneratorConfig(seed=seed, race_free=False, p_critical=0.1,
                             n_shared=3)
         )
-        _warnings, races = diagnose_source(source)
+        _warnings, races = Session().diagnose(source)
         detected += bool(races)
     assert detected >= 6
     return {
@@ -71,57 +69,3 @@ def bench_diagnostics() -> dict:
         "false_positives": false_positives,
         "racy_detected": detected,
     }
-
-
-def test_planted_bugs_detected(benchmark):
-    def run():
-        results = {}
-        for name, source in BUGGY.items():
-            warnings, races = diagnose_source(source)
-            results[name] = (len(warnings), len(races))
-        return results
-
-    results = benchmark(run)
-    print_table(
-        "Section 6 diagnostics on planted bugs",
-        ["program", "warnings", "races"],
-        [(k, *v) for k, v in sorted(results.items())],
-    )
-    assert results["unmatched-lock"][0] >= 1
-    assert results["improper-nesting"][0] >= 1
-    assert results["inconsistent-locks"][1] >= 1
-    assert results["bare-race"][1] >= 1
-
-
-def test_random_racefree_precision(benchmark):
-    """Race-free generated programs must produce zero race reports."""
-
-    def run():
-        false_positives = 0
-        for seed in range(10):
-            source = generate_source(
-                GeneratorConfig(seed=seed, race_free=True, n_locks=2,
-                                p_critical=0.7)
-            )
-            _warnings, races = diagnose_source(source)
-            false_positives += len(races)
-        return false_positives
-
-    assert benchmark(run) == 0
-
-
-def test_random_racy_recall(benchmark):
-    """Mostly-unlocked generated programs should usually race."""
-
-    def run():
-        detected = 0
-        for seed in range(10):
-            source = generate_source(
-                GeneratorConfig(seed=seed, race_free=False, p_critical=0.1,
-                                n_shared=3)
-            )
-            _warnings, races = diagnose_source(source)
-            detected += bool(races)
-        return detected
-
-    assert benchmark(run) >= 6

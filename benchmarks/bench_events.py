@@ -6,14 +6,12 @@ definition is ordered after the protected use disappear, on top of the
 mutex pruning of Algorithm A.3.
 """
 
-import pytest
-
 from repro.bench import register
 from repro.cssame import build_cssame
 from repro.report import measure_form
 from repro.synth import GeneratorConfig, generate_program
 
-from benchmarks.common import print_table, program_of
+from benchmarks.common import program_of
 
 
 def _pipeline_source(n_stages: int) -> str:
@@ -69,51 +67,3 @@ def bench_events() -> dict:
         generated_total += form.ordering_stats.args_removed
     assert generated_total > 0
     return {"pipelines": pipelines, "generated_removed": generated_total}
-
-
-@pytest.mark.parametrize("stages", [2, 3, 4])
-def test_event_pruning_on_pipelines(benchmark, stages):
-    def run(enabled: bool):
-        program = program_of(_pipeline_source(stages))
-        form = build_cssame(program, prune_events=enabled)
-        metrics = measure_form(program)
-        removed = (
-            form.ordering_stats.args_removed if form.ordering_stats else 0
-        )
-        return metrics.pi_args, removed
-
-    without, _ = run(False)
-    with_events, removed = benchmark(run, True)
-    print_table(
-        f"{stages}-stage pipeline: π arguments",
-        ["configuration", "π args", "removed by ordering"],
-        [
-            ("mutex pruning only", without, 0),
-            ("+ event ordering", with_events, removed),
-        ],
-    )
-    assert removed > 0
-    assert with_events < without
-
-
-def test_event_pruning_on_generated(benchmark):
-    def run():
-        total = 0
-        for seed in range(6):
-            program = generate_program(
-                GeneratorConfig(
-                    seed=seed, n_threads=3, stmts_per_thread=4,
-                    n_shared=2, n_events=2,
-                )
-            )
-            form = build_cssame(program)
-            total += form.ordering_stats.args_removed
-        return total
-
-    total = benchmark(run)
-    print_table(
-        "event pruning across 6 generated programs",
-        ["metric", "value"],
-        [("conflict args removed", total)],
-    )
-    assert total > 0

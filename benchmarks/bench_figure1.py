@@ -13,7 +13,7 @@ from repro.ir.stmts import SAssign, SCallStmt
 from repro.ir.structured import iter_statements
 from repro.opt import concurrent_constant_propagation
 
-from benchmarks.common import FIGURE1_SOURCE, print_table, program_of
+from benchmarks.common import FIGURE1_SOURCE, program_of
 
 
 def _reaching_a_counts(prune: bool) -> tuple[int, int]:
@@ -67,31 +67,3 @@ def bench_figure1() -> dict:
         "reaching_g": {"cssa": cssa_g, "cssame": cssame_g},
         "constant_at_g": proves,
     }
-
-
-def test_figure1_reaching_reduction(benchmark):
-    cssa_f, cssa_g = _reaching_a_counts(prune=False)
-    cssame_f, cssame_g = benchmark(_reaching_a_counts, True)
-
-    print_table(
-        "Figure 1: defs of 'a' reaching T1's uses",
-        ["use", "CSSA", "CSSAME"],
-        [("f(a)  (unprotected)", cssa_f, cssame_f),
-         ("g(a)  (protected)", cssa_g, cssame_g)],
-    )
-    # Paper: the protected use sees only a = 3 under CSSAME.
-    assert cssame_g == 1
-    assert cssa_g > cssame_g
-    # The unprotected use keeps its cross-thread def either way.
-    assert cssame_f == cssa_f
-
-
-def test_figure1_constant_at_g(benchmark):
-    cssame_proves = benchmark(_constant_at_g, True)
-    cssa_proves = _constant_at_g(False)
-    print_table(
-        "Figure 1: constant propagation proves g(a) == g(3)",
-        ["form", "proved"],
-        [("CSSA", cssa_proves), ("CSSAME", cssame_proves)],
-    )
-    assert cssame_proves and not cssa_proves

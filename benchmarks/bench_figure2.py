@@ -6,12 +6,12 @@ the threads' accesses and mutex edges between the Lock/Unlock pairs —
 and times PFG construction.
 """
 
-from repro.api import analyze_source
 from repro.bench import register
 from repro.cfg.dot import to_dot
 from repro.report import pfg_inventory
+from repro.session import Session
 
-from benchmarks.common import FIGURE2_SOURCE, print_table
+from benchmarks.common import FIGURE2_SOURCE
 
 
 @register(
@@ -20,30 +20,13 @@ from benchmarks.common import FIGURE2_SOURCE, print_table
     summary="Figure 2: PFG inventory and DOT render of the running example",
 )
 def bench_figure2() -> dict:
-    form = analyze_source(FIGURE2_SOURCE, prune=False)
+    form = Session().analyze(FIGURE2_SOURCE, prune=False)
     inv = pfg_inventory(form)
-    assert inv["nodes_cobegin"] == 1 and inv["nodes_coend"] == 1
-    assert inv["nodes_lock"] == 2 and inv["nodes_unlock"] == 2
-    assert inv["edges_mutex"] == 2
-    dot = to_dot(form.graph, "Figure 2 PFG")
-    assert dot.count("hexagon") == 4
-    return {"inventory": {k: v for k, v in sorted(inv.items()) if v}}
-
-
-def test_figure2_pfg_inventory(benchmark):
-    form = benchmark(analyze_source, FIGURE2_SOURCE, False)
-    inv = pfg_inventory(form)
-    rows = sorted((k, v) for k, v in inv.items() if v)
-    print_table("Figure 2: PFG inventory", ["item", "count"], rows)
-
     assert inv["nodes_cobegin"] == 1 and inv["nodes_coend"] == 1
     assert inv["nodes_lock"] == 2 and inv["nodes_unlock"] == 2
     assert inv["edges_mutex"] == 2
     assert {e.var for e in form.graph.conflict_edges} == {"a", "b"}
-
-
-def test_figure2_dot_render(benchmark):
-    form = analyze_source(FIGURE2_SOURCE, prune=False)
-    dot = benchmark(to_dot, form.graph, "Figure 2 PFG")
+    dot = to_dot(form.graph, "Figure 2 PFG")
     assert dot.count("hexagon") == 4
     assert "style=dotted" in dot and "style=dashed" in dot
+    return {"inventory": {k: v for k, v in sorted(inv.items()) if v}}

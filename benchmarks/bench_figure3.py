@@ -7,7 +7,7 @@ under CSSAME — and times both constructions.
 
 from repro.bench import register
 
-from benchmarks.common import FIGURE2_SOURCE, form_metrics, print_table
+from benchmarks.common import FIGURE2_SOURCE, form_metrics
 
 
 @register(
@@ -20,28 +20,9 @@ def bench_figure3() -> dict:
     cssame = form_metrics(FIGURE2_SOURCE, prune=True)
     assert (cssa["pi_terms"], cssame["pi_terms"]) == (5, 1)
     assert (cssa["pi_args"], cssame["pi_args"]) == (11, 2)
+    assert cssa["phi_terms"] == cssame["phi_terms"] == 2
     assert cssame["pis_deleted"] == 4 and cssame["args_removed"] == 5
     return {
         "cssa": {k: cssa[k] for k in ("pi_terms", "pi_args", "phi_terms")},
         "cssame": {k: cssame[k] for k in ("pi_terms", "pi_args", "phi_terms")},
     }
-
-
-def test_figure3_pi_reduction(benchmark):
-    cssa = form_metrics(FIGURE2_SOURCE, prune=False)
-    cssame = benchmark(form_metrics, FIGURE2_SOURCE, True)
-
-    print_table(
-        "Figure 3: CSSA vs CSSAME on the running example",
-        ["metric", "CSSA (3a)", "CSSAME (3b)"],
-        [
-            ("pi terms", cssa["pi_terms"], cssame["pi_terms"]),
-            ("pi arguments", cssa["pi_args"], cssame["pi_args"]),
-            ("phi terms", cssa["phi_terms"], cssame["phi_terms"]),
-        ],
-    )
-    assert (cssa["pi_terms"], cssame["pi_terms"]) == (5, 1)
-    assert (cssa["pi_args"], cssame["pi_args"]) == (11, 2)
-    assert cssa["phi_terms"] == cssame["phi_terms"] == 2
-    assert cssame["pis_deleted"] == 4
-    assert cssame["args_removed"] == 5

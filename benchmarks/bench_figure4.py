@@ -9,7 +9,7 @@ from repro.bench import register
 from repro.cssame import build_cssame
 from repro.opt import concurrent_constant_propagation
 
-from benchmarks.common import FIGURE2_SOURCE, print_table, program_of
+from benchmarks.common import FIGURE2_SOURCE, program_of
 
 
 @register(
@@ -39,25 +39,3 @@ def run(prune: bool):
         program, form.graph, fold_output_uses=False
     )
     return stats
-
-
-def test_figure4_constant_propagation(benchmark):
-    cssa = run(prune=False)
-    cssame = benchmark(run, True)
-
-    print_table(
-        "Figure 4: CSCC constant propagation",
-        ["metric", "CSSA (4a)", "CSSAME (4b)"],
-        [
-            ("constants proven", len(cssa.constants), len(cssame.constants)),
-            ("branches folded", cssa.branches_folded, cssame.branches_folded),
-            ("defs made constant", cssa.defs_made_constant,
-             cssame.defs_made_constant),
-        ],
-    )
-    # Paper: no constants propagate through T0 under CSSA; the whole
-    # thread folds under CSSAME (a1..x0 plus the initialisations).
-    assert len(cssa.constants) == 3        # a0, b0, a1 (literals only)
-    assert len(cssame.constants) >= 7      # + b1, a2, a3, x0
-    assert cssa.branches_folded == 0
-    assert cssame.branches_folded == 1

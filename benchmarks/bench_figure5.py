@@ -10,7 +10,7 @@ from repro.bench import register
 from repro.opt.pipeline import optimize
 from repro.vm.explore import explore
 
-from benchmarks.common import FIGURE2_SOURCE, print_table, program_of
+from benchmarks.common import FIGURE2_SOURCE, program_of
 
 
 @register(
@@ -50,35 +50,3 @@ def run(use_mutex: bool):
     program = program_of(FIGURE2_SOURCE)
     report = optimize(program, use_mutex=use_mutex, fold_output_uses=False)
     return report
-
-
-def test_figure5_pdce_licm(benchmark):
-    cssa = run(use_mutex=False)
-    cssame = benchmark(run, True)
-
-    print_table(
-        "Figure 5: PDCE + LICM",
-        ["metric", "CSSA", "CSSAME"],
-        [
-            ("PDCE statements removed", cssa.pdce.total_removed,
-             cssame.pdce.total_removed),
-            ("LICM statements moved", cssa.licm.total_moved,
-             cssame.licm.total_moved),
-            ("final statement count", cssa.statement_count(),
-             cssame.statement_count()),
-        ],
-    )
-    # Paper 5a: the dead defs of `a` die only once CSSAME removed the π
-    # dependencies; 5b: x0/y0 leave the mutex bodies.
-    assert cssame.pdce.total_removed > cssa.pdce.total_removed
-    assert cssame.licm.total_moved >= 2
-    assert cssame.statement_count() < cssa.statement_count()
-
-
-def test_figure5_semantics(benchmark):
-    report = run(use_mutex=True)
-    res = benchmark(explore, report.program)
-    assert res.outcomes == {
-        (("print", (13,)), ("print", (6,))),
-        (("print", (13,)), ("print", (14,))),
-    }

@@ -10,7 +10,7 @@ from repro.bench import register
 from repro.cssame import build_cssame
 from repro.opt import local_value_numbering
 
-from benchmarks.common import print_table, program_of
+from benchmarks.common import program_of
 
 
 def _workload(protected: bool) -> str:
@@ -67,37 +67,3 @@ def bench_lvn() -> dict:
         "conflicting_replaced": conflicting.expressions_replaced,
         "blocks_processed": protected.blocks_processed,
     }
-
-
-def test_lvn_reuse(benchmark):
-    protected = benchmark(run, True)
-    print_table(
-        "LVN on 6 repeated computations per thread",
-        ["metric", "value"],
-        [
-            ("expressions replaced", protected.expressions_replaced),
-            ("blocks processed", protected.blocks_processed),
-        ],
-    )
-    # base*scale is read-only shared → SSA names match; 5 of the 6
-    # occurrences per thread reuse the first (the +t makes each target
-    # distinct but the base*scale subtree is shared).
-    assert protected.expressions_replaced >= 8
-
-
-def test_lvn_blocked_by_conflicts(benchmark):
-    """When another thread writes the operands, π terms give every read
-    a fresh name and reuse disappears."""
-
-    def run_conflicting():
-        program = program_of(_CONFLICTING_SOURCE)
-        build_cssame(program)
-        return local_value_numbering(program)
-
-    stats = benchmark(run_conflicting)
-    print_table(
-        "LVN under conflicting writes",
-        ["metric", "value"],
-        [("expressions replaced", stats.expressions_replaced)],
-    )
-    assert stats.expressions_replaced == 0

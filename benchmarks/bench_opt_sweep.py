@@ -5,10 +5,7 @@ constants proven, statements killed by PDCE and statements moved by
 LICM, with plain CSSA as the baseline form.
 """
 
-import pytest
-
 from repro.bench import register
-from repro.ir.structured import count_statements
 from repro.opt.pipeline import optimize
 from repro.synth import (
     bank_accounts,
@@ -18,8 +15,6 @@ from repro.synth import (
     paper_figure2,
     shared_counters,
 )
-
-from benchmarks.common import print_table
 
 WORKLOADS = {
     "figure1": paper_figure1,
@@ -63,36 +58,3 @@ def bench_opt_sweep() -> dict:
         "workloads": per_workload,
         "total_stmts": {"cssa": total_cssa, "cssame": total_cssame},
     }
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_optimization(benchmark, name):
-    cssa = run(name, use_mutex=False)
-    cssame = benchmark(run, name, True)
-    print_table(
-        f"workload {name}: CSSA vs CSSAME pipeline",
-        ["metric", "CSSA", "CSSAME"],
-        [(k, cssa[k], cssame[k]) for k in ("constants", "killed", "moved", "stmts")],
-    )
-    # Shape claim: mutual exclusion knowledge never hurts and usually
-    # helps — CSSAME's pipeline output is never larger.
-    assert cssame["stmts"] <= cssa["stmts"]
-    assert cssame["constants"] >= cssa["constants"]
-
-
-def test_aggregate_benefit(benchmark):
-    rows = []
-    total_cssa = total_cssame = 0
-    for name in sorted(WORKLOADS):
-        cssa = run(name, use_mutex=False)
-        cssame = run(name, use_mutex=True)
-        total_cssa += cssa["stmts"]
-        total_cssame += cssame["stmts"]
-        rows.append((name, cssa["stmts"], cssame["stmts"]))
-    benchmark(run, "figure2", True)
-    print_table(
-        "final statement counts per workload",
-        ["workload", "CSSA", "CSSAME"],
-        rows + [("TOTAL", total_cssa, total_cssame)],
-    )
-    assert total_cssame < total_cssa

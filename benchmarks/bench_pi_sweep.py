@@ -8,15 +8,11 @@ programs whose fraction of shared accesses under the lock varies from
 with lock coverage.
 """
 
-import pytest
-
 from repro.bench import register
 from repro.cssame import build_cssame
 from repro.ir.structured import clone_program
 from repro.report import measure_form
 from repro.synth import lock_density_sweep
-
-from benchmarks.common import print_table
 
 FRACTIONS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -67,41 +63,3 @@ def bench_pi_sweep() -> dict:
         ],
         "threads": threads,
     }
-
-
-def test_pi_reduction_vs_lock_density(benchmark):
-    rows = [sweep_row(f) for f in FRACTIONS]
-    benchmark(sweep_row, 0.5)
-    print_table(
-        "π arguments vs fraction of accesses under the lock",
-        ["locked fraction", "CSSA π args", "CSSAME π args", "reduction"],
-        rows,
-    )
-    # Shape: reduction is zero with no locking and grows monotonically
-    # (weakly) with lock coverage.
-    reductions = [
-        (r[1] - r[2]) / r[1] if r[1] else 0.0 for r in rows
-    ]
-    assert reductions[0] == 0.0
-    assert all(b >= a - 1e-9 for a, b in zip(reductions, reductions[1:]))
-    assert reductions[-1] > 0.5  # full locking removes most arguments
-
-
-@pytest.mark.parametrize("threads", [2, 3, 4])
-def test_pi_reduction_vs_thread_count(benchmark, threads):
-    def build(n):
-        base = lock_density_sweep(0.75, n_threads=n, n_stmts=6)
-        form = build_cssame(base, prune=True)
-        return form.rewrite_stats
-
-    stats = benchmark(build, threads)
-    assert stats.args_removed > 0
-    print_table(
-        f"π pruning at {threads} threads",
-        ["metric", "value"],
-        [
-            ("conflict args before", stats.args_before),
-            ("conflict args after", stats.args_after),
-            ("π terms deleted", stats.pis_deleted),
-        ],
-    )

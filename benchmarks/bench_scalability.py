@@ -6,12 +6,10 @@ PDCE, A.5) as the synthetic program grows, so regressions are visible
 and the complexity of the Python prototype is documented.
 """
 
-import pytest
-
 from repro.bench import register
 from repro.cfg.builder import build_flow_graph
 from repro.cssame import build_cssame, parallel_reaching_definitions
-from repro.ir.structured import clone_program, count_statements
+from repro.ir.structured import count_statements
 from repro.mutex.identify import identify_mutex_structures
 from repro.opt import (
     concurrent_constant_propagation,
@@ -78,68 +76,3 @@ def make(size: int):
             p_if=0.2,
         )
     )
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_pfg_build(benchmark, size):
-    program = make(size)
-    graph = benchmark(build_flow_graph, program)
-    assert len(graph.blocks) > size
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_mutex_identification(benchmark, size):
-    program = make(size)
-    graph = build_flow_graph(program)
-    structures = benchmark(identify_mutex_structures, graph)
-    assert sum(len(s) for s in structures.values()) > 0
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_cssame_construction(benchmark, size):
-    def build():
-        return build_cssame(make(size))
-
-    form = benchmark(build)
-    assert form.rewrite_stats is not None
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_reaching_definitions(benchmark, size):
-    program = make(size)
-    build_cssame(program)
-    info = benchmark(parallel_reaching_definitions, program)
-    assert len(info.defs_of_use) > 0
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_constant_propagation(benchmark, size):
-    def run():
-        program = make(size)
-        form = build_cssame(program)
-        return concurrent_constant_propagation(program, form.graph)
-
-    stats = benchmark(run)
-    assert stats is not None
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_pdce(benchmark, size):
-    def run():
-        program = make(size)
-        build_cssame(program)
-        return parallel_dead_code_elimination(program)
-
-    stats = benchmark(run)
-    assert stats is not None
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_licm(benchmark, size):
-    def run():
-        program = make(size)
-        build_cssame(program)
-        return lock_independent_code_motion(program)
-
-    stats = benchmark(run)
-    assert stats is not None

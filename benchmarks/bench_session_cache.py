@@ -5,8 +5,8 @@ Two claims of the ``repro.session`` redesign, quantified:
 1. **The cache pays for the API.**  The analyze + diagnose + dot
    journey through one :class:`~repro.session.Session` reuses the
    front end and the CSSAME form instead of re-running them per call.
-   Measured three ways against three cold ``api.*`` calls (the
-   pre-redesign cost): the first sweep of a fresh session (*fill*,
+   Measured three ways against three cold one-shot calls, each on a
+   fresh session (the pre-redesign cost): the first sweep of a fresh session (*fill*,
    saves the repeated front ends), a repeat sweep (*steady*, pure
    cache walk), and a two-sweep service pattern (*amortized*).  The
    acceptance bar is ≥2× for the steady and amortized journeys.
@@ -26,11 +26,8 @@ import os
 import tempfile
 from time import perf_counter
 
-from repro import api
 from repro.bench import register
 from repro.session import BatchSession, Session
-
-from benchmarks.common import print_table
 
 _REPEATS = 7
 #: corpus replication factor for the scaling measurement (96 files)
@@ -59,10 +56,10 @@ def _best_of(fn, repeats: int = _REPEATS) -> float:
 
 
 def _cold_journey() -> None:
-    """Three one-shot facade calls: every one re-runs the front end."""
-    api.analyze_source(JOURNEY_SOURCE)
-    api.diagnose_source(JOURNEY_SOURCE)
-    api.pfg_dot(JOURNEY_SOURCE)
+    """Three one-shot calls: every one re-runs the front end."""
+    Session().analyze(JOURNEY_SOURCE)
+    Session().diagnose(JOURNEY_SOURCE)
+    Session().dot(JOURNEY_SOURCE)
 
 
 def _sweep(session: Session) -> None:
@@ -176,7 +173,7 @@ def emit_bench_session(journey: dict, batch: dict) -> dict:
     group="slow",
     repeat=1,
     profile=False,  # the cache journeys time themselves; an ambient
-    # tracer (fresh_when_traced sessions, span cost) would distort them
+    # tracer's span cost would distort them
     summary="artifact-cache journey speedups and batch-driver scaling",
     emits=("BENCH_session.json",),
 )
@@ -196,72 +193,6 @@ def bench_session_cache() -> dict:
     return emit_bench_session(journey, batch)
 
 
-def test_session_cache_journey_speedup():
-    journey = measure_journey()
-    print_table(
-        "analyze+diagnose+dot journey (best of "
-        f"{_REPEATS}; cold = three api.* calls)",
-        ["variant", "ms", "speedup"],
-        [
-            ("cold api.*", journey["cold_ms"], "1.0x"),
-            ("session fill", journey["fill_ms"],
-             f"{journey['speedup_fill']}x"),
-            ("session steady", journey["steady_ms"],
-             f"{journey['speedup_steady']}x"),
-            ("session amortized", journey["amortized_ms"],
-             f"{journey['speedup_amortized']}x"),
-        ],
-    )
-    # the cache is only allowed to *help* on the very first sweep ...
-    assert journey["speedup_fill"] > 1.0, journey
-    # ... and must win >=2x once the session is doing its job
-    assert journey["speedup_steady"] >= 2.0, journey
-    assert journey["speedup_amortized"] >= 2.0, journey
-    test_session_cache_journey_speedup.result = journey  # for the emitter
-
-
-def test_batch_scaling_and_parity():
-    batch = measure_batch()
-    rows = [("serial", batch["wall_ms"]["serial"], "1.0x")]
-    for label in ("thread_x2", "process_x2", "process_x4"):
-        rows.append(
-            (label, batch["wall_ms"][label],
-             f"{batch['speedup_vs_serial'][label]}x")
-        )
-    print_table(
-        f"batch driver over {batch['files']} files "
-        f"({batch['cpu_count']} cpu(s))",
-        ["executor", "ms", "speedup"],
-        rows,
-    )
-    # Real parallel speedup needs real cores; on a 1-cpu host the
-    # process pool only adds fork+pickle overhead, so the scaling
-    # assertion is hardware-gated.  Result parity is asserted inside
-    # measure_batch() unconditionally.
-    if batch["gated"]:
-        print(
-            f"// scaling assertion gated: cpu_count={batch['cpu_count']} < 2 "
-            "(parity still asserted)"
-        )
-    else:
-        assert batch["speedup_vs_serial"]["process_x2"] >= 1.3, batch
-    test_batch_scaling_and_parity.result = batch
-
-
-def test_emit_bench_session():
-    journey = getattr(
-        test_session_cache_journey_speedup, "result", None
-    ) or measure_journey()
-    batch = getattr(
-        test_batch_scaling_and_parity, "result", None
-    ) or measure_batch()
-    payload = emit_bench_session(journey, batch)
-    assert os.path.exists(BENCH_SESSION_PATH)
-    assert payload["journey"]["speedup_steady"] >= 2.0
-
-
 if __name__ == "__main__":  # pragma: no cover
-    test_session_cache_journey_speedup()
-    test_batch_scaling_and_parity()
-    test_emit_bench_session()
-    print(f"\nwrote {BENCH_SESSION_PATH}")
+    bench_session_cache()
+    print(f"wrote {BENCH_SESSION_PATH}")

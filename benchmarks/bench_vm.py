@@ -14,7 +14,7 @@ from repro.verify import exhaustive_equivalence
 from repro.vm.explore import explore
 from repro.vm.machine import run_random
 
-from benchmarks.common import FIGURE2_SOURCE, print_table, program_of
+from benchmarks.common import FIGURE2_SOURCE, program_of
 
 
 @register(
@@ -49,13 +49,15 @@ def bench_vm() -> dict:
 )
 def bench_licm_runtime() -> dict:
     payoff = {}
-    for label, before_prog in (
-        ("straightline", licm_padding(n_threads=2, n_private_stmts=6)),
-        ("whole_loop", licm_loop_padding(n_threads=2, loop_iters=4)),
+    # region motion moves the whole summation loop out of each thread's
+    # critical section (the paper's "whole loop" remark): one per thread
+    for label, before_prog, min_moved in (
+        ("straightline", licm_padding(n_threads=2, n_private_stmts=6), 1),
+        ("whole_loop", licm_loop_padding(n_threads=2, loop_iters=4), 2),
     ):
         after_prog = clone_program(before_prog)
         report = optimize(after_prog, fold_output_uses=False)
-        assert report.licm.total_moved > 0
+        assert report.licm.total_moved >= min_moved
         before = critical_section_profile(before_prog, seeds=range(10))
         after = critical_section_profile(after_prog, seeds=range(10))
         assert after["avg_lock_held_steps"] < before["avg_lock_held_steps"]
@@ -65,77 +67,3 @@ def bench_licm_runtime() -> dict:
             "lock_held_after": after["avg_lock_held_steps"],
         }
     return payoff
-
-
-def test_vm_throughput(benchmark):
-    program = program_of(FIGURE2_SOURCE)
-
-    def run():
-        return run_random(program, seed=1)
-
-    ex = benchmark(run)
-    assert ex.printed[0] == (13,)
-
-
-def test_explorer_cost(benchmark):
-    program = program_of(FIGURE2_SOURCE)
-    res = benchmark(explore, program)
-    assert res.complete
-    assert len(res.outcomes) == 2
-
-
-def test_equivalence_check_cost(benchmark):
-    program = program_of(FIGURE2_SOURCE)
-    report = optimize(program)
-
-    def run():
-        return exhaustive_equivalence(report.baseline, program)
-
-    res = benchmark(run)
-    assert res.equal
-
-
-def test_licm_lock_hold_reduction(benchmark):
-    before_prog = licm_padding(n_threads=2, n_private_stmts=6)
-    after_prog = clone_program(before_prog)
-    report = optimize(after_prog, fold_output_uses=False)
-    assert report.licm.total_moved > 0
-
-    before = critical_section_profile(before_prog, seeds=range(10))
-    after = benchmark(critical_section_profile, after_prog, range(10))
-
-    print_table(
-        "LICM runtime payoff (avg per run, licm_padding workload)",
-        ["metric", "before", "after"],
-        [
-            ("lock held steps", before["avg_lock_held_steps"],
-             after["avg_lock_held_steps"]),
-            ("blocked steps", before["avg_lock_blocked_steps"],
-             after["avg_lock_blocked_steps"]),
-            ("total steps", before["avg_steps"], after["avg_steps"]),
-        ],
-    )
-    assert after["avg_lock_held_steps"] < before["avg_lock_held_steps"]
-
-
-def test_licm_whole_loop_payoff(benchmark):
-    """Region motion: a lock-independent summation loop leaves the
-    critical section entirely (the paper's 'whole loop' remark)."""
-    before_prog = licm_loop_padding(n_threads=2, loop_iters=4)
-    after_prog = clone_program(before_prog)
-    report = optimize(after_prog, fold_output_uses=False)
-    assert report.licm.total_moved >= 2  # one loop per thread
-
-    before = critical_section_profile(before_prog, seeds=range(10))
-    after = benchmark(critical_section_profile, after_prog, range(10))
-    print_table(
-        "LICM whole-loop motion payoff (licm_loop_padding)",
-        ["metric", "before", "after"],
-        [
-            ("lock held steps", before["avg_lock_held_steps"],
-             after["avg_lock_held_steps"]),
-            ("blocked steps", before["avg_lock_blocked_steps"],
-             after["avg_lock_blocked_steps"]),
-        ],
-    )
-    assert after["avg_lock_held_steps"] < before["avg_lock_held_steps"]

@@ -13,7 +13,7 @@ import os
 
 from repro.cssame import build_cssame
 from repro.ir.lower import lower_program
-from repro.ir.structured import ProgramIR, clone_program
+from repro.ir.structured import ProgramIR
 from repro.lang.parser import parse
 from repro.obs.trace import Tracer
 from repro.report import measure_form
@@ -98,10 +98,10 @@ def traced_figure_observation(name: str, source: str) -> dict:
     the tracer's spans — the same numbers ``repro stats`` prints),
     FormMetrics of the optimized program, and the A.3 decision census.
     """
-    from repro.api import optimize_source
+    from repro.session import Session
 
     tracer = Tracer()
-    report = optimize_source(source, trace=tracer)
+    report = Session().optimize(source, trace=tracer)
     phases = {
         span.name: round(span.duration * 1e3, 6)
         for span in tracer.spans()

@@ -17,11 +17,12 @@ publishes the result.  The walk-through exercises the whole system:
 Run:  python examples/case_study_server.py
 """
 
-from repro.api import diagnose_source, front_end, listing
+from repro.api import front_end, listing
 from repro.cssame import build_cssame
 from repro.ir.structured import clone_program
 from repro.opt.pipeline import optimize
 from repro.report import critical_section_profile, measure_form
+from repro.session import Session
 from repro.verify import exhaustive_equivalence
 from repro.vm.explore import explore
 
@@ -73,7 +74,7 @@ print(result, queued);
 
 def main() -> None:
     print("== 1. diagnostics ==")
-    warnings, races = diagnose_source(SERVER)
+    warnings, races = Session().diagnose(SERVER)
     for w in warnings:
         print(f"  warning: {w.message}")
     for r in races:

@@ -12,12 +12,13 @@ Prints, side by side with the paper's numbering:
 Run:  python examples/paper_figures.py
 """
 
-from repro.api import analyze_source, front_end, optimize_source
+from repro.api import front_end
 from repro.cssame import build_cssame, parallel_reaching_definitions
 from repro.ir.printer import format_ir
 from repro.ir.stmts import SAssign
 from repro.ir.structured import iter_statements
 from repro.report import measure_form, pfg_inventory
+from repro.session import Session
 
 FIGURE1 = """
 a = 1;
@@ -95,7 +96,7 @@ def figure1() -> None:
 
 def figure2() -> None:
     banner("Figure 2: the Parallel Flow Graph")
-    form = analyze_source(FIGURE2, prune=False)
+    form = Session().analyze(FIGURE2, prune=False)
     for key, value in sorted(pfg_inventory(form).items()):
         if value:
             print(f"  {key:20s} {value}")
@@ -120,8 +121,8 @@ def figure3() -> None:
 
 
 def figures4and5() -> None:
-    cssa = optimize_source(FIGURE2, use_mutex=False, fold_output_uses=False)
-    cssame = optimize_source(FIGURE2, use_mutex=True, fold_output_uses=False)
+    cssa = Session().optimize(FIGURE2, use_mutex=False, fold_output_uses=False)
+    cssame = Session().optimize(FIGURE2, use_mutex=True, fold_output_uses=False)
 
     banner("Figure 4a: constant propagation with CSSA")
     print(cssa.listings["constprop"])

@@ -13,9 +13,9 @@ Run:  python examples/pfg_export.py [output-dir]
 import sys
 from pathlib import Path
 
-from repro.api import analyze_source
 from repro.cfg.dot import to_dot
 from repro.report import pfg_inventory
+from repro.session import Session
 
 FIGURE2 = """
 a = 0;
@@ -63,7 +63,7 @@ print(out);
 
 
 def export(name: str, source: str, out_dir: Path) -> None:
-    form = analyze_source(source, prune=False)
+    form = Session().analyze(source, prune=False)
     dot = to_dot(form.graph, title=name)
     path = out_dir / f"{name}.dot"
     path.write_text(dot)

@@ -10,7 +10,7 @@ schedule, and prints each intermediate listing — reproducing Figures
 Run:  python examples/quickstart.py
 """
 
-from repro.api import optimize_source
+from repro.session import Session
 from repro.verify import exhaustive_equivalence
 
 SOURCE = """
@@ -40,7 +40,7 @@ print(y);
 
 
 def main() -> None:
-    report = optimize_source(SOURCE, fold_output_uses=False)
+    report = Session().optimize(SOURCE, fold_output_uses=False)
 
     print("=" * 60)
     print("CSSAME form (paper Figure 3b)")

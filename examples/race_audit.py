@@ -11,7 +11,8 @@ deadlock schedule for a lock-ordering bug).
 Run:  python examples/race_audit.py
 """
 
-from repro.api import diagnose_source, front_end
+from repro.api import front_end
+from repro.session import Session
 from repro.vm.explore import explore
 
 PROGRAMS = {
@@ -62,7 +63,7 @@ def main() -> None:
         print("=" * 64)
         print(name)
         print("=" * 64)
-        warnings, races = diagnose_source(source)
+        warnings, races = Session().diagnose(source)
         if not warnings and not races:
             print("  static analysis: clean")
         for w in warnings:

@@ -17,13 +17,16 @@ The package implements the paper's whole stack:
 * semantic-equivalence checkers (:mod:`repro.verify`) and a random
   program generator (:mod:`repro.synth`).
 
-Quickstart::
+The public API has two faces.  A :class:`~repro.session.Session` runs
+the pipeline's journeys (``analyze``, ``diagnose``, ``optimize``,
+``dot``, ``bytecode``) and returns live compiler objects, cached per
+stage::
 
     from repro.session import Session
 
     session = Session()
-    result = session.optimize(source_text)
-    print(result.listing())
+    report = session.optimize(source_text)
+    print(report.listing())
 
 The one-shot facade returns typed, wire-ready results (the same
 payloads ``repro serve`` puts on the network)::

@@ -24,32 +24,22 @@ recomputed from scratch); pass a long-lived
 cached artifacts across calls — the result's ``provenance`` then shows
 the cache traffic.
 
-Legacy surface (deprecated since 1.2, kept until 2.0 — see
-``docs/API.md``): :func:`analyze_source`, :func:`diagnose_source`,
-:func:`optimize_source` and :func:`pfg_dot` return the historical
-loose shapes (live ``CSSAMEForm`` / ``(warnings, races)`` tuple /
-``OptimizationReport`` / DOT string).  They keep working bit-for-bit
-but emit :class:`DeprecationWarning`; new code that needs live
-compiler objects should hold a ``Session`` directly, and code that
-needs data should take the typed results.  :func:`front_end` and
-:func:`listing` are *not* deprecated — structured IR in, text out is
-already a typed contract.
+Code that needs live compiler objects (a ``CSSAMEForm``, an
+``OptimizationReport``, the finding lists) holds a ``Session`` and calls
+its journeys directly.  :func:`front_end` and :func:`listing` round out
+the facade: structured IR in, text out.
 """
 
 from __future__ import annotations
 
-import warnings as _warnings
 from typing import Any, Mapping, Optional
 
-from repro.cssame.builder import CSSAMEForm
 from repro.errors import UnsupportedRequest
 from repro.ir.printer import format_ir
 from repro.ir.structured import ProgramIR
-from repro.mutex.races import RaceReport
-from repro.mutex.warnings import SyncWarning
 from repro.obs.prof import WORK_PREFIX
 from repro.obs.trace import Tracer, get_tracer, use_tracer
-from repro.opt.pipeline import OptimizationReport
+from repro.opt.pipeline import DEFAULT_PASSES, KNOWN_PASSES
 from repro.report import measure_form
 from repro.results import (
     CompileResult,
@@ -59,51 +49,36 @@ from repro.results import (
     result_class_for,
 )
 from repro.session.session import Session
+from repro.session.stages import WIRE_STAGES
 
 __all__ = [
     "SERVE_STAGES",
     "analyze",
-    "analyze_source",
     "compile_source",
     "diagnose",
-    "diagnose_source",
     "front_end",
     "listing",
     "optimize",
-    "optimize_source",
-    "pfg_dot",
     "stage_options",
 ]
 
 #: stages a compile request may name, and the option schema of each
-#: (name → default).  This table *is* the wire contract: the server
-#: validates requests against it and ``docs/API.md`` documents it.
+#: (name → default), derived from :data:`repro.session.stages.WIRE_STAGES`.
+#: This table *is* the wire contract: the server validates requests
+#: against it and ``docs/API.md`` documents it.
 SERVE_STAGES: dict[str, dict[str, Any]] = {
-    "analyze": {"prune": True, "prune_events": True},
-    "diagnostics": {},
-    "optimized": {
-        "passes": ("constprop", "pdce", "licm"),
-        "use_mutex": True,
-        "fold_output_uses": True,
-        "simplify": True,
-    },
-    "dot": {"title": "PFG", "prune": True},
-    "bytecode": {},
-    "audit": {
-        "runs": 16,
-        "seed_base": 0,
-        "fuel": 1_000_000,
-        "explore": True,
-        "max_states": 20_000,
-    },
+    wire: spec.journey_defaults() for wire, spec in WIRE_STAGES.items()
 }
 
 
 def stage_options(stage: str, options: Optional[Mapping[str, Any]] = None) -> dict:
     """Validate and default a request's options against the stage schema.
 
-    Raises :class:`~repro.errors.UnsupportedRequest` (``E_UNSUPPORTED``)
-    for an unknown stage or option name — the same typed error a server
+    A value must have its default's type (a bool is not an int here),
+    an integer must not be negative, and ``passes`` may name only the
+    optimizer's known passes.  Raises
+    :class:`~repro.errors.UnsupportedRequest` (``E_UNSUPPORTED``) for an
+    unknown stage, option name or value — the same typed error a server
     frame carries.
     """
     schema = SERVE_STAGES.get(stage)
@@ -119,8 +94,27 @@ def stage_options(stage: str, options: Optional[Mapping[str, Any]] = None) -> di
                 f"(valid: {sorted(schema) or 'none'})"
             )
         # JSON has no tuples; normalise list-valued options.
-        merged[name] = tuple(value) if isinstance(value, list) else value
+        if isinstance(value, list):
+            value = tuple(value)
+        problem = _option_problem(value, schema[name])
+        if problem:
+            raise UnsupportedRequest(
+                f"stage {stage!r} option {name!r}: {problem}, got {value!r}"
+            )
+        merged[name] = value
     return merged
+
+
+def _option_problem(value: Any, default: Any) -> Optional[str]:
+    """Why ``value`` cannot stand in for ``default`` (``None`` if it can)."""
+    kind = type(default)
+    if type(value) is not kind:
+        return f"expected {kind.__name__}"
+    if kind is int and value < 0:
+        return "expected a non-negative int"
+    if kind is tuple and not all(p in KNOWN_PASSES for p in value):
+        return f"expected passes from {list(KNOWN_PASSES)}"
+    return None
 
 
 def _session(session: Optional[Session]) -> Session:
@@ -238,18 +232,6 @@ _HANDLERS = {
     "audit": _run_audit,
 }
 
-#: wire stage → (stage-graph node, option names that feed its key)
-_GRAPH_STAGE = {
-    "analyze": ("cssame", ("prune", "prune_events")),
-    "diagnostics": ("diagnostics", ()),
-    "optimized": (
-        "optimized",
-        ("passes", "use_mutex", "fold_output_uses", "simplify"),
-    ),
-    "dot": ("dot", ("title", "prune")),
-    "bytecode": ("bytecode", ()),
-}
-
 
 def compile_source(
     source: str,
@@ -281,12 +263,10 @@ def compile_source(
         for name, counter in sorted(counters.items())
         if name.startswith(WORK_PREFIX)
     }
+    spec = WIRE_STAGES[stage]
     artifact_key = None
-    if stage in _GRAPH_STAGE:
-        node, names = _GRAPH_STAGE[stage]
-        artifact_key = sess.artifact_key(
-            node, source, **{n: opts[n] for n in names}
-        )
+    if spec.compute is not None:
+        artifact_key = sess.artifact_key(spec.name, source, **opts)
     provenance = Provenance(
         source_key=_source_key(source),
         stage=stage,
@@ -342,7 +322,7 @@ def diagnose(
 
 def optimize(
     source: str,
-    passes: tuple[str, ...] = ("constprop", "pdce", "licm"),
+    passes: tuple[str, ...] = DEFAULT_PASSES,
     use_mutex: bool = True,
     fold_output_uses: bool = True,
     session: Optional[Session] = None,
@@ -364,7 +344,7 @@ def optimize(
     return result
 
 
-# -- supported non-deprecated helpers ---------------------------------------
+# -- IR helpers ----------------------------------------------------------------
 
 
 def front_end(source: str, session: Optional[Session] = None) -> ProgramIR:
@@ -375,82 +355,3 @@ def front_end(source: str, session: Optional[Session] = None) -> ProgramIR:
 def listing(program: ProgramIR) -> str:
     """Source-like listing of a program in any form."""
     return format_ir(program)
-
-
-# -- deprecated legacy shims (loose returns; removed in 2.0) -----------------
-
-
-def _deprecated(name: str, replacement: str) -> None:
-    _warnings.warn(
-        f"repro.api.{name} is deprecated since 1.2 (removal in 2.0); "
-        f"use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def analyze_source(
-    source: str,
-    prune: bool = True,
-    trace: Optional[Tracer] = None,
-    session: Optional[Session] = None,
-) -> CSSAMEForm:
-    """Deprecated: the live CSSAME form (``prune=False`` → plain CSSA).
-
-    Use :meth:`Session.analyze` for the live form, or :func:`analyze`
-    for the typed result.
-    """
-    _deprecated("analyze_source", "Session.analyze or api.analyze")
-    return _session(session).analyze(source, prune=prune, trace=trace)
-
-
-def optimize_source(
-    source: str,
-    passes: tuple[str, ...] = ("constprop", "pdce", "licm"),
-    use_mutex: bool = True,
-    fold_output_uses: bool = True,
-    trace: Optional[Tracer] = None,
-    session: Optional[Session] = None,
-) -> OptimizationReport:
-    """Deprecated: the live :class:`OptimizationReport`.
-
-    Use :meth:`Session.optimize` for the live report, or
-    :func:`optimize` for the typed result.
-    """
-    _deprecated("optimize_source", "Session.optimize or api.optimize")
-    return _session(session).optimize(
-        source,
-        passes=passes,
-        use_mutex=use_mutex,
-        fold_output_uses=fold_output_uses,
-        trace=trace,
-    )
-
-
-def diagnose_source(
-    source: str,
-    trace: Optional[Tracer] = None,
-    session: Optional[Session] = None,
-) -> tuple[list[SyncWarning], list[RaceReport]]:
-    """Deprecated: the loose ``(warnings, races)`` tuple.
-
-    Use :meth:`Session.diagnose` for live findings, or :func:`diagnose`
-    for the typed result.
-    """
-    _deprecated("diagnose_source", "Session.diagnose or api.diagnose")
-    return _session(session).diagnose(source, trace=trace)
-
-
-def pfg_dot(
-    source: str,
-    title: str = "PFG",
-    prune: bool = True,
-    trace: Optional[Tracer] = None,
-    session: Optional[Session] = None,
-) -> str:
-    """Deprecated: the DOT text of the PFG.
-
-    Use :meth:`Session.dot`, or ``compile_source(src, "dot")``.
-    """
-    _deprecated("pfg_dot", "Session.dot or api.compile_source(..., 'dot')")
-    return _session(session).dot(source, title=title, prune=prune, trace=trace)

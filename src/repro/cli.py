@@ -821,23 +821,26 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[tracing],
     )
     p.add_argument("file")
+    audit = api.SERVE_STAGES["audit"]
     p.add_argument(
-        "--runs", type=int, default=16, metavar="N",
-        help="seeded schedules to sample (default: 16)",
+        "--runs", type=int, default=audit["runs"], metavar="N",
+        help="seeded schedules to sample (default: %(default)s)",
     )
     p.add_argument(
-        "--seed-base", type=int, default=0,
-        help="first seed; runs use seed_base..seed_base+N-1 (default: 0)",
+        "--seed-base", type=int, default=audit["seed_base"],
+        help="first seed; runs use seed_base..seed_base+N-1 "
+             "(default: %(default)s)",
     )
-    p.add_argument("--fuel", type=int, default=1_000_000)
+    p.add_argument("--fuel", type=int, default=audit["fuel"])
     p.add_argument(
-        "--explore", action=argparse.BooleanOptionalAction, default=True,
+        "--explore", action=argparse.BooleanOptionalAction,
+        default=audit["explore"],
         help="also run bounded exhaustive exploration as the coverage "
              "yardstick (default; --no-explore skips it)",
     )
     p.add_argument(
-        "--max-states", type=int, default=20_000,
-        help="state budget for --explore (default: 20000)",
+        "--max-states", type=int, default=audit["max_states"],
+        help="state budget for --explore (default: %(default)s)",
     )
     p.add_argument(
         "--strict", action="store_true",

@@ -117,17 +117,22 @@ class WorkProfile:
 
 def profile_source(
     source: str,
-    passes: tuple[str, ...] = ("constprop", "pdce", "licm"),
+    passes: Optional[tuple[str, ...]] = None,
     use_mutex: bool = True,
     tracer: Optional[Tracer] = None,
 ) -> WorkProfile:
     """Run the optimization pipeline on ``source`` under a fresh tracer
     and return its :class:`WorkProfile` (wall times + work counters).
+    ``passes`` defaults to the paper's pipeline.
     """
+    from repro.opt.pipeline import DEFAULT_PASSES
     from repro.session import Session
 
     tracer = tracer if tracer is not None else Tracer()
     report = Session().optimize(
-        source, passes=passes, use_mutex=use_mutex, trace=tracer
+        source,
+        passes=DEFAULT_PASSES if passes is None else passes,
+        use_mutex=use_mutex,
+        trace=tracer,
     )
     return WorkProfile(tracer, report)

@@ -27,11 +27,11 @@ from repro.opt.lvn import LVNStats, local_value_numbering
 from repro.opt.pdce import PDCEStats, parallel_dead_code_elimination
 from repro.opt.simplify import simplify_structure
 
-__all__ = ["OptimizationReport", "optimize"]
+__all__ = ["DEFAULT_PASSES", "KNOWN_PASSES", "OptimizationReport", "optimize"]
 
-_ALL_PASSES = ("constprop", "lvn", "pdce", "licm")
+KNOWN_PASSES = ("constprop", "lvn", "pdce", "licm")
 #: default pipeline = the paper's Figures 4-5 sequence (lvn is opt-in)
-_DEFAULT_PASSES = ("constprop", "pdce", "licm")
+DEFAULT_PASSES = ("constprop", "pdce", "licm")
 
 
 class OptimizationReport:
@@ -69,7 +69,7 @@ class OptimizationReport:
 
 def optimize(
     program: ProgramIR,
-    passes: tuple[str, ...] = _DEFAULT_PASSES,
+    passes: tuple[str, ...] = DEFAULT_PASSES,
     use_mutex: bool = True,
     simplify: bool = True,
     fold_output_uses: bool = True,
@@ -79,7 +79,7 @@ def optimize(
     Parameters
     ----------
     passes:
-        Subset (in order) of ``("constprop", "lvn", "pdce", "licm")``;
+        Subset (in order) of :data:`KNOWN_PASSES`;
         the default is the paper's pipeline (value numbering is the
         Section 7 "translated scalar optimization" demo, opt-in).
     use_mutex:
@@ -88,7 +88,7 @@ def optimize(
     simplify:
         Run the structural cleanup after the passes.
     """
-    unknown = set(passes) - set(_ALL_PASSES)
+    unknown = set(passes) - set(KNOWN_PASSES)
     if unknown:
         raise ValueError(f"unknown passes: {sorted(unknown)}")
 

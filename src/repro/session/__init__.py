@@ -12,8 +12,8 @@ The canonical programmatic surface of the package (see ``docs/API.md``):
 * :class:`~repro.session.artifacts.ArtifactCache` /
   :class:`~repro.session.artifacts.CacheStats` — the cache itself.
 
-The legacy one-shot helpers in :mod:`repro.api` remain supported as a
-thin facade over this machinery.
+The typed one-shot helpers of :mod:`repro.api` are a thin facade over
+this machinery.
 """
 
 from repro.session.artifacts import ArtifactCache, CacheStats, derive_key, source_key

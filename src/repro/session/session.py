@@ -28,10 +28,12 @@ Sharing rules (what a caller may do with a returned artifact):
 
 Tracing: every stage lookup runs under a ``stage:<name>`` span carrying
 a ``cache_hit`` attribute, and bumps the ``session.cache.hit`` /
-``session.cache.miss`` counters of the active tracer.  A session built
-with ``fresh_when_traced=True`` (what the :mod:`repro.api` facade uses)
-recomputes stages whenever tracing is enabled, so a traced run always
-observes the real pipeline rather than a cache lookup.
+``session.cache.miss`` counters of the active tracer.  A traced request
+against a warm session therefore records cache hits, not the pipeline
+spans; trace a fresh ``Session()`` to observe a full run.
+
+For data rather than live objects, take the typed results of
+:mod:`repro.api` (the same payloads ``repro serve`` answers with).
 """
 
 from __future__ import annotations
@@ -40,37 +42,16 @@ import contextlib
 from typing import Any, Mapping, Optional
 
 from repro.cssame.builder import CSSAMEForm
-from repro.ir.printer import format_ir
 from repro.ir.structured import ProgramIR, clone_program
 from repro.mutex.races import RaceReport
 from repro.mutex.warnings import SyncWarning
 from repro.obs.trace import Tracer, get_tracer, use_tracer
-from repro.opt.pipeline import OptimizationReport
+from repro.opt.pipeline import DEFAULT_PASSES, OptimizationReport
 from repro.session.artifacts import ArtifactCache, CacheStats, derive_key, source_key
 from repro.session.stages import STAGES
 from repro.vm.bytecode import VMProgram
 
 __all__ = ["Session"]
-
-_DEFAULT_PASSES = ("constprop", "pdce", "licm")
-
-#: per-journey option defaults, the same values the journey methods
-#: default to — :meth:`Session.artifact_key` fills a request with these
-#: before applying the caller's overrides
-_CHAIN_DEFAULTS: dict[str, dict] = {
-    "ast": {},
-    "ir": {},
-    "cssame": {"prune": True, "prune_events": True},
-    "diagnostics": {},
-    "optimized": {
-        "passes": _DEFAULT_PASSES,
-        "use_mutex": True,
-        "fold_output_uses": True,
-        "simplify": True,
-    },
-    "dot": {"title": "PFG", "prune": True, "prune_events": True},
-    "bytecode": {},
-}
 
 
 def _tracing(trace: Optional[Tracer]):
@@ -92,28 +73,19 @@ class Session:
         ``put`` / ``MISSING`` / ``stats`` surface.  This is how
         ``repro.serve`` layers its persistent on-disk store under the
         session (``max_entries`` is ignored when ``cache`` is given).
-    fresh_when_traced:
-        When ``True``, any request made while tracing is enabled
-        recomputes every stage it touches (and refreshes the cache with
-        the results).  This preserves the one-shot observability
-        contract of the legacy ``repro.api`` helpers: a traced run's
-        spans and events always describe a full pipeline execution.
     """
 
     def __init__(
         self,
         max_entries: Optional[int] = None,
-        fresh_when_traced: bool = False,
         cache: Optional[ArtifactCache] = None,
     ) -> None:
         self.cache = cache if cache is not None else ArtifactCache(max_entries=max_entries)
-        self.fresh_when_traced = fresh_when_traced
 
     # -- the generic stage walk ---------------------------------------------
 
     def _options_for(self, stage: str, request: Mapping[str, Any]) -> dict:
-        spec = STAGES[stage]
-        return {name: request[name] for name in spec.option_names}
+        return {name: request[name] for name in STAGES[stage].options}
 
     def _key_for(self, stage: str, source: str, request: Mapping[str, Any]) -> str:
         """Artifact key of ``stage`` by walking the parent chain."""
@@ -129,18 +101,20 @@ class Session:
             stage,
             parent_key,
             self._options_for(stage, request),
-            schema=spec.option_names,
+            schema=tuple(spec.options),
         )
 
     def artifact_key(self, stage: str, source: str, **options: Any) -> str:
         """The public artifact key of ``stage`` for ``source``.
 
         ``options`` must name every option of the stage *chain* that
-        differs from the journey defaults (the same names the journey
-        methods accept).  Used by the serve layer for provenance and by
-        store tooling; computing a key never computes the artifact.
+        differs from the journey defaults
+        (:meth:`~repro.session.stages.StageSpec.journey_defaults`, the
+        same names the journey methods accept).  Used by the serve layer
+        for provenance and by store tooling; computing a key never
+        computes the artifact.
         """
-        request = dict(_CHAIN_DEFAULTS.get(stage, {}))
+        request = STAGES[stage].journey_defaults()
         request.update(options)
         return self._key_for(stage, source, request)
 
@@ -153,8 +127,7 @@ class Session:
         spec = STAGES[stage]
         key = self._key_for(stage, source, request)
         tracer = get_tracer()
-        bypass = self.fresh_when_traced and tracer.enabled
-        value = self.cache.MISSING if bypass else self.cache.get(key, stage)
+        value = self.cache.get(key, stage)
         hit = value is not self.cache.MISSING
         if tracer.enabled:
             tracer.counter(
@@ -219,7 +192,7 @@ class Session:
     def optimize(
         self,
         source: str,
-        passes: tuple[str, ...] = _DEFAULT_PASSES,
+        passes: tuple[str, ...] = DEFAULT_PASSES,
         use_mutex: bool = True,
         fold_output_uses: bool = True,
         simplify: bool = True,
@@ -250,11 +223,7 @@ class Session:
             return self._artifact(
                 "dot",
                 source,
-                {
-                    "title": title,
-                    "prune": prune,
-                    "prune_events": True,
-                },
+                {"title": title, "prune": prune},
             )
 
     def bytecode(self, source: str, trace: Optional[Tracer] = None) -> VMProgram:
@@ -263,10 +232,6 @@ class Session:
             return self._artifact("bytecode", source, {})
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def listing(self, program: ProgramIR) -> str:
-        """Source-like listing of a program in any form."""
-        return format_ir(program)
 
     def cache_stats(self) -> CacheStats:
         """Hit/miss/eviction accounting for this session's cache."""

@@ -1,4 +1,4 @@
-"""The pipeline stage graph.
+"""The pipeline stage graph, and the one table every stage default lives in.
 
 The compiler's journeys all walk one DAG::
 
@@ -9,12 +9,19 @@ The compiler's journeys all walk one DAG::
                             └─> bytecode
 
 Each node is a :class:`StageSpec`: a name, the parent stage it consumes,
-the option names that parameterise it, and a pure-from-the-outside
-compute function.  A stage's artifact key is derived from its parent's
-key plus its options (see :mod:`repro.session.artifacts`), so the graph
-doubles as the cache's addressing scheme: asking for ``diagnostics``
-twice walks the same chain of keys and reuses whatever prefix is
-already materialised.
+its options with their defaults, and a pure-from-the-outside compute
+function.  A stage's artifact key is derived from its parent's key plus
+its options (see :mod:`repro.session.artifacts`), so the graph doubles
+as the cache's addressing scheme: asking for ``diagnostics`` twice walks
+the same chain of keys and reuses whatever prefix is already
+materialised.
+
+The same table names the stages a compile request may ask for
+(:data:`WIRE_STAGES`): ``analyze`` is the wire name of ``cssame``, and
+``audit`` runs outside the graph (its spec has no compute function).
+Everything else that needs a default — the session's artifact keys, the
+wire schema :data:`repro.api.SERVE_STAGES`, the CLI's ``request --stage``
+choices and ``audit`` flags — derives it from here.
 
 Mutation discipline — the single invariant that makes caching sound:
 **a compute function must never mutate its input artifact.**  The
@@ -30,7 +37,7 @@ any stage corrupting another's input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Optional
 
 from repro.cfg.dot import to_dot
 from repro.cssame.builder import build_cssame
@@ -41,26 +48,41 @@ from repro.mutex.deadlock import detect_lock_order_cycles
 from repro.mutex.races import detect_races
 from repro.mutex.warnings import SyncWarning, check_synchronization
 from repro.obs.trace import get_tracer
-from repro.opt.pipeline import optimize
+from repro.opt.pipeline import DEFAULT_PASSES, optimize
 from repro.vm.compile import compile_program
 
-__all__ = ["STAGES", "StageSpec", "stage_order"]
+__all__ = ["STAGES", "StageSpec", "WIRE_STAGES", "stage_order"]
 
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One node of the pipeline stage graph."""
+    """One stage: a node of the pipeline graph, or a wire stage outside it."""
 
     name: str
     #: the stage whose artifact this one consumes (``None`` for the root)
     parent: Optional[str]
-    #: option names that parameterise the stage (part of its cache key)
-    option_names: Tuple[str, ...]
-    #: ``compute(parent_artifact, options) -> artifact``
-    compute: Callable[[Any, Mapping[str, Any]], Any]
+    #: option name → journey default (the names are part of the cache key)
+    options: Mapping[str, Any]
+    #: ``compute(parent_artifact, options) -> artifact``; ``None`` for a
+    #: wire stage that runs outside the graph
+    compute: Optional[Callable[[Any, Mapping[str, Any]], Any]]
     #: options of the *parent* chain this stage pins (e.g. diagnostics
     #: always reads the unpruned CSSA form)
     parent_options: Mapping[str, Any] = None  # type: ignore[assignment]
+
+    def journey_defaults(self) -> dict[str, Any]:
+        """Every option a journey to this stage takes, with its default:
+        the stage's own, then each ancestor's that no descendant pins."""
+        defaults: dict[str, Any] = {}
+        pinned: set[str] = set()
+        spec: Optional[StageSpec] = self
+        while spec is not None:
+            for name, value in spec.options.items():
+                if name not in pinned:
+                    defaults.setdefault(name, value)
+            pinned.update(spec.parent_options or ())
+            spec = STAGES.get(spec.parent)
+        return defaults
 
 
 def _compute_ast(source: str, options: Mapping[str, Any]):
@@ -120,29 +142,77 @@ def _compute_bytecode(ir, options: Mapping[str, Any]):
     return compile_program(clone_program(ir))
 
 
-#: the stage graph, in dependency order
-STAGES: dict[str, StageSpec] = {
-    spec.name: spec
-    for spec in (
-        StageSpec("ast", None, (), _compute_ast),
-        StageSpec("ir", "ast", (), _compute_ir),
-        StageSpec("cssame", "ir", ("prune", "prune_events"), _compute_cssame),
+#: every stage in dependency order, under the name a compile request
+#: gives it (``None``: a graph node no request names)
+_TABLE: tuple[tuple[Optional[str], StageSpec], ...] = (
+    (None, StageSpec("ast", None, {}, _compute_ast)),
+    (None, StageSpec("ir", "ast", {}, _compute_ir)),
+    (
+        "analyze",
+        StageSpec(
+            "cssame", "ir", {"prune": True, "prune_events": True}, _compute_cssame
+        ),
+    ),
+    (
+        "diagnostics",
         StageSpec(
             "diagnostics",
             "cssame",
-            (),
+            {},
             _compute_diagnostics,
             parent_options={"prune": False, "prune_events": True},
         ),
+    ),
+    (
+        "optimized",
         StageSpec(
             "optimized",
             "ir",
-            ("passes", "use_mutex", "fold_output_uses", "simplify"),
+            {
+                "passes": DEFAULT_PASSES,
+                "use_mutex": True,
+                "fold_output_uses": True,
+                "simplify": True,
+            },
             _compute_optimized,
         ),
-        StageSpec("dot", "cssame", ("title",), _compute_dot),
-        StageSpec("bytecode", "ir", (), _compute_bytecode),
-    )
+    ),
+    (
+        "dot",
+        StageSpec(
+            "dot",
+            "cssame",
+            {"title": "PFG"},
+            _compute_dot,
+            parent_options={"prune_events": True},
+        ),
+    ),
+    ("bytecode", StageSpec("bytecode", "ir", {}, _compute_bytecode)),
+    (
+        "audit",
+        StageSpec(
+            "audit",
+            None,
+            {
+                "runs": 16,
+                "seed_base": 0,
+                "fuel": 1_000_000,
+                "explore": True,
+                "max_states": 20_000,
+            },
+            None,
+        ),
+    ),
+)
+
+#: the stage graph, in dependency order
+STAGES: dict[str, StageSpec] = {
+    spec.name: spec for _, spec in _TABLE if spec.compute is not None
+}
+
+#: the stages a compile request may name
+WIRE_STAGES: dict[str, StageSpec] = {
+    wire: spec for wire, spec in _TABLE if wire is not None
 }
 
 

@@ -1,6 +1,6 @@
 """DOT export tests."""
 
-from repro.api import pfg_dot
+from repro.session import Session
 from repro.cfg.builder import build_flow_graph
 from repro.cfg.conflicts import add_conflict_edges, add_mutex_edges
 from repro.cfg.dot import to_dot
@@ -34,6 +34,6 @@ class TestDot:
         assert '\\"quotes\\"' in out
 
     def test_api_pfg_dot(self):
-        text = pfg_dot(FIGURE2_SOURCE, title="fig2")
+        text = Session().dot(FIGURE2_SOURCE, title="fig2")
         assert "cobegin" in text and "coend" in text
         assert "lock" in text or "hexagon" in text

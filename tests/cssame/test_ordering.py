@@ -129,7 +129,7 @@ class TestBarrierOrdering:
         assert order.barrier_nodes == {}  # phases ambiguous: no edges
 
     def test_barrier_serializes_race_pair(self):
-        from repro.api import diagnose_source
+        from repro.session import Session
 
         clean_src = """
         cobegin
@@ -138,11 +138,11 @@ class TestBarrierOrdering:
         coend
         print(out);
         """
-        warnings, races = diagnose_source(clean_src)
+        warnings, races = Session().diagnose(clean_src)
         assert races == []
 
     def test_without_barrier_race_reported(self):
-        from repro.api import diagnose_source
+        from repro.session import Session
 
         racy_src = """
         cobegin
@@ -151,13 +151,13 @@ class TestBarrierOrdering:
         coend
         print(out);
         """
-        _w, races = diagnose_source(racy_src)
+        _w, races = Session().diagnose(racy_src)
         assert races
 
     def test_event_serializes_race_pair(self):
-        from repro.api import diagnose_source
+        from repro.session import Session
 
-        _w, races = diagnose_source(
+        _w, races = Session().diagnose(
             """
             cobegin
             P: begin data = 5; set(go); end

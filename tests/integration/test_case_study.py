@@ -1,17 +1,18 @@
 """The job-queue server case study, locked as an integration test."""
 
 from examples.case_study_server import SERVER
-from repro.api import diagnose_source, front_end
+from repro.api import front_end
 from repro.cssame import build_cssame
 from repro.ir.structured import clone_program
 from repro.opt.pipeline import optimize
+from repro.session import Session
 from repro.verify import exhaustive_equivalence
 from repro.vm.explore import explore
 
 
 class TestServerCaseStudy:
     def test_diagnostics_clean(self):
-        warnings, races = diagnose_source(SERVER)
+        warnings, races = Session().diagnose(SERVER)
         assert warnings == []
         assert races == []  # barrier/event ordering serializes done0/1
 

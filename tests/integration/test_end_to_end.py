@@ -3,6 +3,7 @@
 from repro import api
 from repro.ir.structured import count_statements
 from repro.report import critical_section_profile, measure_form, pfg_inventory
+from repro.session import Session
 from repro.synth import bank_accounts, licm_padding
 from repro.verify import deterministic_output, exhaustive_equivalence
 from repro.vm.machine import run_random
@@ -15,18 +16,18 @@ class TestApiJourneys:
         assert count_statements(program) == 2
 
     def test_analyze_source(self):
-        form = api.analyze_source(FIGURE2_SOURCE)
+        form = Session().analyze(FIGURE2_SOURCE)
         assert form.rewrite_stats.pis_after == 1
         assert form.shared == {"a", "b"}
 
     def test_optimize_source_runs_and_verifies(self):
-        report = api.optimize_source(FIGURE2_SOURCE)
+        report = Session().optimize(FIGURE2_SOURCE)
         res = exhaustive_equivalence(report.baseline, report.program)
         assert res.equal
         assert "final" in report.listings
 
     def test_diagnose_source(self):
-        warnings, races = api.diagnose_source(
+        warnings, races = Session().diagnose(
             "cobegin begin v = 1; end begin v = 2; end coend print(v);"
         )
         assert warnings == []
@@ -84,12 +85,12 @@ class TestRealisticWorkloads:
 
 class TestReportHelpers:
     def test_measure_form(self):
-        form = api.analyze_source(FIGURE2_SOURCE, prune=False)
+        form = Session().analyze(FIGURE2_SOURCE, prune=False)
         m = measure_form(form.program)
         assert m.pi_terms == 5 and m.phi_terms == 2
 
     def test_pfg_inventory_totals(self):
-        form = api.analyze_source(FIGURE2_SOURCE)
+        form = Session().analyze(FIGURE2_SOURCE)
         inv = pfg_inventory(form)
         assert inv["nodes_total"] == len(form.graph.blocks)
         assert inv["edges_control"] == sum(

@@ -1,6 +1,6 @@
 """repro.report helpers."""
 
-from repro.api import analyze_source
+from repro.session import Session
 from repro.report import FormMetrics, critical_section_profile, measure_form, pfg_inventory
 from repro.synth import licm_padding
 from tests.conftest import FIGURE2_SOURCE, build
@@ -34,7 +34,7 @@ class TestMeasureForm:
 
 class TestInventory:
     def test_totals_consistent(self):
-        form = analyze_source(FIGURE2_SOURCE)
+        form = Session().analyze(FIGURE2_SOURCE)
         inv = pfg_inventory(form)
         per_kind = sum(v for k, v in inv.items()
                        if k.startswith("nodes_") and k != "nodes_total")

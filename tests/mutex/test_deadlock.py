@@ -1,9 +1,10 @@
 """Static lock-order deadlock detection."""
 
-from repro.api import diagnose_source, front_end
+from repro.api import front_end
 from repro.cfg.builder import build_flow_graph
 from repro.mutex.deadlock import detect_lock_order_cycles
 from repro.mutex.identify import identify_mutex_structures
+from repro.session import Session
 from repro.vm.explore import explore, find_witness
 from tests.conftest import build
 
@@ -82,7 +83,7 @@ class TestDetection:
 
 class TestIntegration:
     def test_diagnose_source_reports_risk(self):
-        warnings, _races = diagnose_source(ABBA)
+        warnings, _races = Session().diagnose(ABBA)
         kinds = [w.kind for w in warnings]
         assert "deadlock-risk" in kinds
 
@@ -97,5 +98,5 @@ class TestIntegration:
         assert schedule is not None
 
     def test_no_false_negative_on_paper_example(self, figure2_source):
-        warnings, _ = diagnose_source(figure2_source)
+        warnings, _ = Session().diagnose(figure2_source)
         assert all(w.kind != "deadlock-risk" for w in warnings)

@@ -1,11 +1,11 @@
 """Lockset-based potential race detection (Section 6)."""
 
-from repro.api import diagnose_source
+from repro.session import Session
 from tests.conftest import FIGURE2_SOURCE
 
 
 def races_of(source):
-    _warnings, races = diagnose_source(source)
+    _warnings, races = Session().diagnose(source)
     return races
 
 

@@ -1,6 +1,6 @@
 """Section 6 synchronization warnings."""
 
-from repro.api import diagnose_source
+from repro.session import Session
 from repro.cfg.builder import build_flow_graph
 from repro.mutex.identify import identify_mutex_structures
 from repro.mutex.warnings import check_synchronization
@@ -15,7 +15,7 @@ def warnings_of(source):
 
 class TestUnmatched:
     def test_clean_program_no_warnings(self, figure2_source):
-        warnings, _ = diagnose_source(figure2_source)
+        warnings, _ = Session().diagnose(figure2_source)
         assert warnings == []
 
     def test_lock_without_unlock(self):

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.api import optimize_source
 from repro.obs.export import (
     export_chrome,
     export_collapsed,
@@ -15,13 +14,14 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.trace import Tracer
+from repro.session import Session
 from tests.conftest import FIGURE2_SOURCE
 
 
 @pytest.fixture(scope="module")
 def traced():
     tracer = Tracer()
-    optimize_source(FIGURE2_SOURCE, trace=tracer)
+    Session().optimize(FIGURE2_SOURCE, trace=tracer)
     return tracer
 
 

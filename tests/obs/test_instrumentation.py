@@ -2,13 +2,13 @@
 event sequences are deterministic, the VM emits runtime events, and the
 critical-section profile can be recomputed from a trace."""
 
-from repro.api import analyze_source, diagnose_source, optimize_source
 from repro.obs.trace import Tracer, use_tracer
 from repro.report import (
     critical_section_profile,
     critical_section_profile_from_trace,
     lock_profile_from_events,
 )
+from repro.session import Session
 from repro.vm.machine import run_random
 from tests.conftest import FIGURE1_SOURCE, FIGURE2_SOURCE, build
 
@@ -33,7 +33,7 @@ def _event_payloads(tracer: Tracer) -> list[dict]:
 class TestPipelineEvents:
     def test_removal_events_match_rewrite_stats(self):
         tracer = Tracer()
-        report = optimize_source(FIGURE2_SOURCE, trace=tracer)
+        report = Session().optimize(FIGURE2_SOURCE, trace=tracer)
         stats = report.form.rewrite_stats
         removed = tracer.events_of_kind("pi-arg-removed")
         assert len(removed) == stats.args_removed == 5
@@ -43,21 +43,21 @@ class TestPipelineEvents:
 
     def test_removal_reasons_are_theorems(self):
         tracer = Tracer()
-        analyze_source(FIGURE1_SOURCE, trace=tracer)
+        Session().analyze(FIGURE1_SOURCE, trace=tracer)
         for event in tracer.events_of_kind("pi-arg-removed"):
             assert event.reason in ("not-upward-exposed", "does-not-reach-exit")
             assert event.lock == "L"
 
     def test_mutex_body_events_match_form(self):
         tracer = Tracer()
-        form = analyze_source(FIGURE2_SOURCE, trace=tracer)
+        form = Session().analyze(FIGURE2_SOURCE, trace=tracer)
         bodies = tracer.events_of_kind("mutex-body")
         assert len(bodies) == len(form.mutex_bodies()) == 2
         assert {e.lock for e in bodies} == {"L"}
 
     def test_pass_spans_and_events(self):
         tracer = Tracer()
-        optimize_source(FIGURE2_SOURCE, trace=tracer)
+        Session().optimize(FIGURE2_SOURCE, trace=tracer)
         span_names = [s.name for s in tracer.spans()]
         for name in ("optimize", "build-cssame", "pass:constprop",
                      "pass:pdce", "pass:licm"):
@@ -71,21 +71,21 @@ class TestPipelineEvents:
     def test_event_sequence_is_deterministic(self):
         """Two identical runs differ only in timestamps."""
         t1, t2 = Tracer(), Tracer()
-        optimize_source(FIGURE2_SOURCE, trace=t1)
-        optimize_source(FIGURE2_SOURCE, trace=t2)
+        Session().optimize(FIGURE2_SOURCE, trace=t1)
+        Session().optimize(FIGURE2_SOURCE, trace=t2)
         assert _event_payloads(t1) == _event_payloads(t2)
         assert [s.name for s in t1.spans()] == [s.name for s in t2.spans()]
         assert [s.attrs for s in t1.spans()] == [s.attrs for s in t2.spans()]
 
     def test_graph_is_fresh_tracking(self):
-        report = optimize_source(FIGURE2_SOURCE)
+        report = Session().optimize(FIGURE2_SOURCE)
         assert report.graph_is_fresh is False
-        untouched = optimize_source(FIGURE2_SOURCE, passes=())
+        untouched = Session().optimize(FIGURE2_SOURCE, passes=())
         assert untouched.graph_is_fresh is True
 
     def test_diagnose_span(self):
         tracer = Tracer()
-        diagnose_source(FIGURE2_SOURCE, trace=tracer)
+        Session().diagnose(FIGURE2_SOURCE, trace=tracer)
         span = tracer.span_named("diagnose")
         assert span is not None
         assert span.attrs == {"warnings": 0, "races": 0}

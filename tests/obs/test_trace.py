@@ -4,7 +4,6 @@ from time import perf_counter
 
 import pytest
 
-from repro.api import optimize_source
 from repro.obs.events import Event, PassStart
 from repro.obs.trace import (
     NULL_TRACER,
@@ -14,6 +13,7 @@ from repro.obs.trace import (
     set_tracer,
     use_tracer,
 )
+from repro.session import Session
 from tests.conftest import FIGURE2_SOURCE
 
 
@@ -34,8 +34,8 @@ class TestNullTracer:
         assert NULL_TRACER.metrics.as_dict() == {"counters": {}, "histograms": {}}
 
     def test_pipeline_run_adds_no_events(self):
-        """An untraced optimize_source leaves the global tracer empty."""
-        optimize_source(FIGURE2_SOURCE)
+        """An untraced optimize journey leaves the global tracer empty."""
+        Session().optimize(FIGURE2_SOURCE)
         tracer = get_tracer()
         assert tracer.records == ()
         assert tracer.spans() == [] and tracer.events() == []
@@ -48,10 +48,10 @@ class TestNullTracer:
         both factors are stable, unlike an A/B of two millisecond runs.
         """
         best = min(
-            _timed(lambda: optimize_source(FIGURE2_SOURCE)) for _ in range(5)
+            _timed(lambda: Session().optimize(FIGURE2_SOURCE)) for _ in range(5)
         )
         probe = Tracer()
-        optimize_source(FIGURE2_SOURCE, trace=probe)
+        Session().optimize(FIGURE2_SOURCE, trace=probe)
         sites = len(probe.records)
 
         iters = 20_000

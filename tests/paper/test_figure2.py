@@ -5,15 +5,15 @@ nodes, conflict edges between the threads' accesses to ``a`` and ``b``,
 and mutex edges between the Lock/Unlock pairs of the two threads.
 """
 
-from repro.api import analyze_source
 from repro.cfg.blocks import NodeKind
 from repro.report import pfg_inventory
+from repro.session import Session
 from tests.conftest import FIGURE2_SOURCE
 
 
 class TestFigure2PFG:
     def test_node_inventory(self):
-        form = analyze_source(FIGURE2_SOURCE, prune=False)
+        form = Session().analyze(FIGURE2_SOURCE, prune=False)
         inv = pfg_inventory(form)
         assert inv["nodes_entry"] == 1
         assert inv["nodes_exit"] == 1
@@ -23,21 +23,21 @@ class TestFigure2PFG:
         assert inv["nodes_unlock"] == 2
 
     def test_mutex_edges(self):
-        form = analyze_source(FIGURE2_SOURCE, prune=False)
+        form = Session().analyze(FIGURE2_SOURCE, prune=False)
         inv = pfg_inventory(form)
         # Lock(T0)—Unlock(T1) and Lock(T1)—Unlock(T0), both on L.
         assert inv["edges_mutex"] == 2
         assert all(e.lock_name == "L" for e in form.graph.mutex_edges)
 
     def test_conflict_edges_on_a_and_b(self):
-        form = analyze_source(FIGURE2_SOURCE, prune=False)
+        form = Session().analyze(FIGURE2_SOURCE, prune=False)
         edge_vars = {e.var for e in form.graph.conflict_edges}
         assert edge_vars == {"a", "b"}
         kinds = {e.kind for e in form.graph.conflict_edges}
         assert "DU" in kinds and "DD" in kinds
 
     def test_conflict_edges_cross_threads_only(self):
-        form = analyze_source(FIGURE2_SOURCE, prune=False)
+        form = Session().analyze(FIGURE2_SOURCE, prune=False)
         g = form.graph
         for e in form.graph.conflict_edges:
             src = g.blocks[e.src_block]
@@ -46,13 +46,12 @@ class TestFigure2PFG:
             assert src.thread_path != dst.thread_path
 
     def test_shared_variable_set(self):
-        form = analyze_source(FIGURE2_SOURCE, prune=False)
+        form = Session().analyze(FIGURE2_SOURCE, prune=False)
         assert form.shared == {"a", "b"}
 
     def test_dot_export_renders_everything(self):
-        from repro.api import pfg_dot
 
-        dot = pfg_dot(FIGURE2_SOURCE)
+        dot = Session().dot(FIGURE2_SOURCE)
         assert dot.count("hexagon") == 4  # 2 locks + 2 unlocks
         assert "style=dotted" in dot      # mutex edges
         assert "style=dashed" in dot      # conflict edges

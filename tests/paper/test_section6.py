@@ -5,17 +5,17 @@ locks, and potential data races from inconsistently protected shared
 variables.
 """
 
-from repro.api import diagnose_source, optimize_source, pfg_dot
+from repro.session import Session
 from tests.conftest import FIGURE2_SOURCE
 
 
 class TestDiagnostics:
     def test_clean_program_clean_report(self):
-        warnings, races = diagnose_source(FIGURE2_SOURCE)
+        warnings, races = Session().diagnose(FIGURE2_SOURCE)
         assert warnings == [] and races == []
 
     def test_unmatched_lock_warning(self):
-        warnings, _ = diagnose_source(
+        warnings, _ = Session().diagnose(
             """
             cobegin
             begin lock(L); v = 1; end
@@ -26,13 +26,13 @@ class TestDiagnostics:
         assert any(w.kind == "unmatched-lock" for w in warnings)
 
     def test_improperly_nested_locks(self):
-        warnings, _ = diagnose_source(
+        warnings, _ = Session().diagnose(
             "lock(A); lock(B); x = 1; unlock(A); y = 2; unlock(B);"
         )
         assert any(w.kind == "improper-nesting" for w in warnings)
 
     def test_inconsistent_lock_race(self):
-        _, races = diagnose_source(
+        _, races = Session().diagnose(
             """
             cobegin
             begin lock(A); v = 1; unlock(A); end
@@ -53,10 +53,10 @@ class TestDiagnostics:
         coend
         print(x);
         """
-        report = optimize_source(source)
+        report = Session().optimize(source)
         assert report.program is not None
 
     def test_graph_visualisation_supported(self):
         # Section 6: "The PFG can be displayed using a variety of graph
         # visualization systems" — our DOT stands in for VCG.
-        assert pfg_dot(FIGURE2_SOURCE).startswith("digraph")
+        assert Session().dot(FIGURE2_SOURCE).startswith("digraph")

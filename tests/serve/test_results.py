@@ -1,4 +1,4 @@
-"""Typed results and the redesigned facade, including deprecation shims."""
+"""Typed results and the redesigned facade."""
 
 import json
 
@@ -102,26 +102,8 @@ class TestWireRoundTrip:
 
 
 class TestDeprecationShims:
-    def test_analyze_source_warns_and_works(self):
-        with pytest.deprecated_call():
-            form = api.analyze_source(FIGURE2_SOURCE)
-        # Legacy shape: the live CSSAME form object, not a result.
-        assert hasattr(form, "program")
-
-    def test_diagnose_source_warns_and_works(self):
-        with pytest.deprecated_call():
-            warnings_, races = api.diagnose_source(FIGURE1_SOURCE)
-        assert races
-
-    def test_optimize_source_warns_and_works(self):
-        with pytest.deprecated_call():
-            report = api.optimize_source(FIGURE2_SOURCE)
-        assert "final" in report.listings
-
-    def test_pfg_dot_warns_and_works(self):
-        with pytest.deprecated_call():
-            dot = api.pfg_dot(CLEAN, title="T")
-        assert dot.startswith("digraph")
+    """The 1.x loose-shape helpers were removed in 2.0; the typed surface
+    that replaced them must not warn."""
 
     def test_new_surface_does_not_warn(self, recwarn):
         api.diagnose(CLEAN)

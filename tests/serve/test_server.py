@@ -7,13 +7,26 @@ import pytest
 
 from repro import api
 from repro._version import __version__
-from repro.errors import E_PARSE, E_UNSUPPORTED, RemoteError
+from repro.errors import E_PARSE, E_UNSUPPORTED, RemoteError, UnsupportedRequest
 from repro.results import DiagnoseResult
 from repro.session import Session
 from tests.serve.conftest import example_sources
 
 EXAMPLES = example_sources()
 PARITY_STAGES = ("analyze", "diagnostics", "optimized", "dot", "bytecode")
+
+#: option values the stage schema rejects: a value of another type than
+#: the default's (a bool is not an int), an unknown pass, a negative count
+BAD_OPTIONS = [
+    ("optimized", {"passes": "licm"}),
+    ("optimized", {"passes": ["nope"]}),
+    ("optimized", {"use_mutex": 0}),
+    ("analyze", {"prune": "no"}),
+    ("audit", {"runs": "3"}),
+    ("audit", {"runs": True}),
+    ("audit", {"runs": -1}),
+    ("dot", {"title": 7}),
+]
 
 
 class TestBasics:
@@ -49,6 +62,20 @@ class TestBasics:
                 assert client.ping()["pong"] is True
             result = client.compile("a = 1; print(a);", "bytecode")
         assert result.artifacts["instructions"] > 0
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize(
+        "stage,options", BAD_OPTIONS, ids=[repr(o) for _, o in BAD_OPTIONS]
+    )
+    def test_bad_option_value_is_unsupported(self, server, stage, options):
+        source = EXAMPLES["figure1.par"]
+        with pytest.raises(UnsupportedRequest):
+            api.compile_source(source, stage, options)
+        with server.client() as client:
+            with pytest.raises(RemoteError) as info:
+                client.compile(source, stage, options)
+        assert info.value.code == E_UNSUPPORTED
 
 
 class TestGoldenParity:

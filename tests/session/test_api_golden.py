@@ -1,14 +1,14 @@
-"""Golden equivalence: the Session-backed facade matches the
-pre-redesign one-shot implementations.
+"""Golden equivalence: the Session journeys and the typed facade match
+the pre-redesign one-shot implementations.
 
 The reference ("legacy") implementations below are verbatim transcripts
 of what ``repro.api`` did before the stage-graph redesign: build
 everything from scratch with direct calls into the pipeline modules.
-Every ``api.*`` helper — called cold *and* through a warmed, shared
-session — must reproduce their outputs bit-for-bit on the whole
-``examples/*.par`` corpus plus the paper's Figure 1–5 fixture programs
-(Figures 3–5 rework the Figure 2 program, so the two sources cover all
-five).
+Every :class:`~repro.session.Session` journey and every typed ``api.*``
+helper — on a cold session *and* through a warmed, shared one — must
+reproduce their outputs bit-for-bit on the whole ``examples/*.par``
+corpus plus the paper's Figure 1–5 fixture programs (Figures 3–5 rework
+the Figure 2 program, so the two sources cover all five).
 """
 
 import glob
@@ -66,7 +66,7 @@ def legacy_diagnose(source):
     return warnings, races
 
 
-def legacy_pfg_dot(source, title="PFG"):
+def legacy_dot(source, title="PFG"):
     return to_dot(legacy_analyze(source).graph, title=title)
 
 
@@ -79,6 +79,11 @@ def warm_session():
     return Session()
 
 
+def _sessions(warm_session):
+    """A cold session, then the shared one twice (fill, then hits)."""
+    return (Session(), warm_session, warm_session)
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 class TestGoldenEquivalence:
     def test_front_end(self, name):
@@ -89,38 +94,48 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("prune", [True, False])
     def test_analyze(self, name, prune, warm_session):
         expected = legacy_analyze(CORPUS[name], prune=prune)
-        for session in (None, warm_session, warm_session):
-            form = api.analyze_source(CORPUS[name], prune=prune, session=session)
-            assert format_ir(form.program) == format_ir(expected.program)
-            assert measure_form(form.program).as_dict() == measure_form(
-                expected.program
-            ).as_dict()
+        listing = format_ir(expected.program)
+        metrics = measure_form(expected.program).as_dict()
+        for session in _sessions(warm_session):
+            form = session.analyze(CORPUS[name], prune=prune)
+            assert format_ir(form.program) == listing
+            assert measure_form(form.program).as_dict() == metrics
             assert sorted(form.structures) == sorted(expected.structures)
+            result = api.analyze(CORPUS[name], prune=prune, session=session)
+            assert result.artifacts["listing"] == listing
+            assert result.artifacts["metrics"] == metrics
+            assert result.artifacts["mutex_bodies"] == len(
+                expected.mutex_bodies()
+            )
             if prune:
+                stats = expected.rewrite_stats
                 assert (
-                    form.rewrite_stats.args_removed
-                    == expected.rewrite_stats.args_removed
-                )
-                assert (
-                    form.rewrite_stats.pis_deleted
-                    == expected.rewrite_stats.pis_deleted
-                )
+                    form.rewrite_stats.args_removed,
+                    form.rewrite_stats.pis_deleted,
+                ) == (stats.args_removed, stats.pis_deleted)
+                assert result.artifacts["rewrite"] == {
+                    "args_removed": stats.args_removed,
+                    "pis_deleted": stats.pis_deleted,
+                }
 
     def test_diagnose(self, name, warm_session):
         expected_warnings, expected_races = legacy_diagnose(CORPUS[name])
-        for session in (None, warm_session, warm_session):
-            warnings, races = api.diagnose_source(CORPUS[name], session=session)
-            assert [(w.kind, w.message) for w in warnings] == [
-                (w.kind, w.message) for w in expected_warnings
-            ]
-            assert [r.message() for r in races] == [
-                r.message() for r in expected_races
-            ]
+        warning_lines = [(w.kind, w.message) for w in expected_warnings]
+        race_lines = [r.message() for r in expected_races]
+        for session in _sessions(warm_session):
+            warnings, races = session.diagnose(CORPUS[name])
+            assert [(w.kind, w.message) for w in warnings] == warning_lines
+            assert [r.message() for r in races] == race_lines
+            result = api.diagnose(CORPUS[name], session=session)
+            assert [(w["kind"], w["message"]) for w in result.warnings] == (
+                warning_lines
+            )
+            assert [r["message"] for r in result.races] == race_lines
 
     def test_optimize(self, name, warm_session):
         expected = legacy_optimize(CORPUS[name])
-        for session in (None, warm_session, warm_session):
-            report = api.optimize_source(CORPUS[name], session=session)
+        for session in _sessions(warm_session):
+            report = session.optimize(CORPUS[name])
             assert report.listings == expected.listings
             assert report.statement_count() == expected.statement_count()
             assert len(report.constprop.constants) == len(
@@ -128,11 +143,24 @@ class TestGoldenEquivalence:
             )
             assert report.pdce.total_removed == expected.pdce.total_removed
             assert report.licm.total_moved == expected.licm.total_moved
+            result = api.optimize(CORPUS[name], session=session)
+            assert result.listing == expected.listings["final"]
+            assert result.artifacts["phases"] == sorted(expected.listings)
+            assert result.artifacts["statements"] == expected.statement_count()
+            assert (result.constants, result.removed, result.moved) == (
+                len(expected.constprop.constants),
+                expected.pdce.total_removed,
+                expected.licm.total_moved,
+            )
 
     def test_pfg_dot(self, name, warm_session):
-        expected = legacy_pfg_dot(CORPUS[name], title=name)
-        for session in (None, warm_session, warm_session):
-            assert api.pfg_dot(CORPUS[name], title=name, session=session) == expected
+        expected = legacy_dot(CORPUS[name], title=name)
+        for session in _sessions(warm_session):
+            assert session.dot(CORPUS[name], title=name) == expected
+            result = api.compile_source(
+                CORPUS[name], "dot", {"title": name}, session=session
+            )
+            assert result.artifacts["dot"] == expected
 
 
 class TestFacadeSurface:
@@ -146,22 +174,27 @@ class TestFacadeSurface:
         assert api.listing(program) == format_ir(program)
 
     def test_pfg_dot_prune_passthrough(self):
-        pruned = api.pfg_dot(FIGURE2_SOURCE)
-        unpruned = api.pfg_dot(FIGURE2_SOURCE, prune=False)
+        pruned = Session().dot(FIGURE2_SOURCE)
+        unpruned = Session().dot(FIGURE2_SOURCE, prune=False)
         assert pruned != unpruned
-        assert unpruned == to_dot(
+        expected = to_dot(
             legacy_analyze(FIGURE2_SOURCE, prune=False).graph, title="PFG"
         )
+        assert unpruned == expected
+        result = api.compile_source(FIGURE2_SOURCE, "dot", {"prune": False})
+        assert result.artifacts["dot"] == expected
 
     def test_pfg_dot_accepts_trace(self):
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
-        api.pfg_dot(FIGURE2_SOURCE, trace=tracer)
+        Session().dot(FIGURE2_SOURCE, trace=tracer)
         assert any(s.name == "build-cssame" for s in tracer.spans())
 
     def test_optimize_pass_variants_match_legacy(self):
         for passes in ((), ("constprop",), ("constprop", "lvn", "pdce")):
-            got = api.optimize_source(FIGURE2_SOURCE, passes=passes)
             want = legacy_optimize(FIGURE2_SOURCE, passes=passes)
+            got = Session().optimize(FIGURE2_SOURCE, passes=passes)
             assert got.listings == want.listings
+            result = api.optimize(FIGURE2_SOURCE, passes=passes)
+            assert result.listing == want.listings["final"]

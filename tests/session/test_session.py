@@ -142,19 +142,6 @@ class TestTracing:
         assert counters["session.cache.miss"] >= 3  # ast, ir, cssame
         assert counters["session.cache.hit"] == 1
 
-    def test_fresh_when_traced_recomputes(self):
-        session = Session(fresh_when_traced=True)
-        t1, t2 = Tracer(), Tracer()
-        session.analyze(FIGURE2_SOURCE, trace=t1)
-        session.analyze(FIGURE2_SOURCE, trace=t2)
-        # both traced runs observe the full pipeline, not a cache walk
-        assert [s.name for s in t1.spans()] == [s.name for s in t2.spans()]
-        assert any(s.name == "build-cssame" for s in t2.spans())
-        # untraced requests still enjoy the (refreshed) cache
-        before = session.cache_stats().hits
-        session.analyze(FIGURE2_SOURCE)
-        assert session.cache_stats().hits == before + 1
-
 
 class TestStageGraphShape:
     def test_declared_graph_matches_the_paper_pipeline(self):
