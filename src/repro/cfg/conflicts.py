@@ -14,7 +14,8 @@ definition and use in the graph.  From them we derive:
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_right
+from typing import Iterator, Optional
 
 from repro.cfg.blocks import BasicBlock, NodeKind
 from repro.cfg.concurrency import may_happen_in_parallel, thread_paths_diverge
@@ -25,9 +26,11 @@ from repro.ir.stmts import IRStmt, Phi, Pi, SAssign
 __all__ = [
     "AccessSite",
     "ConcurrentSites",
+    "PFGEdgeInputs",
     "add_conflict_edges",
     "add_mutex_edges",
     "add_sync_edges",
+    "capture_pfg_edges",
     "collect_access_sites",
     "is_memory_access",
     "shared_variables",
@@ -38,12 +41,11 @@ def is_memory_access(site: "AccessSite") -> bool:
     """True when the site is a *runtime* memory operation.
 
     φ terms and π conflict arguments are SSA bookkeeping: they read and
-    write nothing when the program runs.  A π's control argument stands
-    for the original (rewritten) read, in the same block.  Filtering
-    matters both for precision (no phantom unprotected reads at join
-    blocks) and for cost: π conflict arguments grow quadratically with
-    the def count, and conflict-edge computation is a def × access
-    product.
+    write nothing when the program runs (:func:`collect_access_sites`
+    makes no site for a conflict argument at all).  A π's control
+    argument stands for the original (rewritten) read, in the same
+    block.  Filtering matters for precision: no phantom unprotected
+    reads at join blocks.
     """
     stmt = site.stmt
     if isinstance(stmt, Phi):
@@ -91,7 +93,11 @@ class AccessSite:
 
 
 def collect_access_sites(graph: FlowGraph) -> dict[str, list[AccessSite]]:
-    """Every access site in the graph, grouped by base variable name."""
+    """Every access site in the graph, grouped by base variable name.
+
+    π conflict arguments get no site: they are SSA bookkeeping shared
+    between πs, not reads.
+    """
     sites: dict[str, list[AccessSite]] = {}
 
     def add(site: AccessSite) -> None:
@@ -109,7 +115,10 @@ def collect_access_sites(graph: FlowGraph) -> dict[str, list[AccessSite]]:
             if target is not None:
                 is_real = isinstance(stmt, SAssign)
                 add(AccessSite(target, block.id, i, stmt, True, is_real, None))
-            for var in stmt.uses():
+            # A π's conflict arguments are no memory access (see
+            # is_memory_access): only its control argument is a site.
+            uses = (stmt.control,) if isinstance(stmt, Pi) else stmt.uses()
+            for var in uses:
                 add(AccessSite(var.name, block.id, i, stmt, False, False, var))
     return sites
 
@@ -183,6 +192,104 @@ def shared_variables(
         ):
             shared.add(var)
     return shared
+
+
+class PFGEdgeInputs:
+    """What the PFG's conflict, mutex and sync edge lists derive from,
+    captured when the CSSA form is built: each block's thread path, per
+    shared variable the sorted ids of the blocks that define and read it
+    (memory accesses only), and ``(block id, name, thread path)`` of
+    every lock, unlock, set and wait node.
+
+    It holds no statement or access site, so later edits to the program
+    do not change the lists, and it pickles with the graph.  Each method
+    gives what the matching ``add_*_edges`` function gives on the graph
+    it was captured from.
+    """
+
+    def __init__(self, graph: FlowGraph, sites: dict[str, list[AccessSite]]) -> None:
+        self.paths = [block.thread_path for block in graph.blocks]
+        self.access_blocks: dict[str, tuple[list[int], list[int]]] = {}
+        for var, all_accesses in sites.items():
+            def_blocks: set[int] = set()
+            use_blocks: set[int] = set()
+            for s in all_accesses:
+                if not is_memory_access(s):
+                    continue
+                if s.is_real_def:
+                    def_blocks.add(s.block_id)
+                elif not s.is_def:
+                    use_blocks.add(s.block_id)
+            if def_blocks:
+                self.access_blocks[var] = (sorted(def_blocks), sorted(use_blocks))
+
+        def nodes(kind: NodeKind, attr: str) -> list[tuple[int, str, tuple]]:
+            return [
+                (block.id, getattr(block.stmts[0], attr), block.thread_path)
+                for block in graph.nodes_of_kind(kind)
+            ]
+
+        self.locks = nodes(NodeKind.LOCK, "lock_name")
+        self.unlocks = nodes(NodeKind.UNLOCK, "lock_name")
+        self.sets = nodes(NodeKind.SET, "event_name")
+        self.waits = nodes(NodeKind.WAIT, "event_name")
+
+    def _concurrent(self) -> Iterator[tuple[str, int, list[int], list[int]]]:
+        """``(var, def block, concurrent use blocks, concurrent def
+        blocks)`` for every def block, in edge order."""
+        paths = self.paths
+        for var, (defs_sorted, uses_sorted) in self.access_blocks.items():
+            # MHP depends only on thread paths: find each def path's
+            # concurrent blocks once.
+            concurrent: dict[tuple, tuple[list[int], list[int]]] = {}
+            for d_id in defs_sorted:
+                path = paths[d_id]
+                if path not in concurrent:
+                    concurrent[path] = (
+                        [b for b in uses_sorted if thread_paths_diverge(path, paths[b])],
+                        [b for b in defs_sorted if thread_paths_diverge(path, paths[b])],
+                    )
+                yield (var, d_id, *concurrent[path])
+
+    def conflict_edges(self) -> list[ConflictEdge]:
+        edges: list[ConflictEdge] = []
+        for var, d_id, conc_uses, conc_defs in self._concurrent():
+            for u_id in conc_uses:
+                edges.append(ConflictEdge(d_id, u_id, var, "DU"))
+            for d2_id in conc_defs:
+                if d2_id > d_id:
+                    edges.append(ConflictEdge(d_id, d2_id, var, "DD"))
+        return edges
+
+    def count_conflict_edges(self) -> int:
+        """``len(self.conflict_edges())`` without building the edges, for
+        the traced ``cssa`` record: building them only when tracing would
+        charge the ``cssa`` span for work untraced runs never do."""
+        return sum(
+            len(conc_uses) + len(conc_defs) - bisect_right(conc_defs, d_id)
+            for _var, d_id, conc_uses, conc_defs in self._concurrent()
+        )
+
+    def mutex_edges(self) -> list[MutexEdge]:
+        return _paired_edges(self.locks, self.unlocks, MutexEdge)
+
+    def sync_edges(self) -> list[SyncEdge]:
+        return _paired_edges(self.sets, self.waits, SyncEdge)
+
+
+def _paired_edges(sources: list[tuple], targets: list[tuple], edge: type) -> list:
+    return [
+        edge(src, dst, name)
+        for src, name, path in sources
+        for dst, other, other_path in targets
+        if other == name and thread_paths_diverge(path, other_path)
+    ]
+
+
+def capture_pfg_edges(graph: FlowGraph, sites: dict[str, list[AccessSite]]) -> None:
+    """Make ``graph``'s conflict, mutex and sync edge lists be computed
+    on their first read, from :class:`PFGEdgeInputs` captured now."""
+    graph.set_edge_inputs(PFGEdgeInputs(graph, sites))
 
 
 def _blocks_concurrent_with(

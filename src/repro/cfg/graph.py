@@ -7,7 +7,7 @@ analyses (mutex-body exposure, LICM).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.errors import CFGError
 from repro.cfg.blocks import BasicBlock, NodeKind
@@ -70,16 +70,20 @@ class FlowGraph:
 
     ``blocks`` is dense: ``blocks[i].id == i``.  Control flow lives in
     each block's ``preds``/``succs``; the other edge kinds live in the
-    ``conflict_edges`` / ``mutex_edges`` / ``sync_edges`` lists.
+    ``conflict_edges`` / ``mutex_edges`` / ``sync_edges`` lists, which
+    may be computed on first read (:meth:`set_edge_inputs`).
     """
 
     def __init__(self) -> None:
         self.blocks: list[BasicBlock] = []
         self.entry_id: int = -1
         self.exit_id: int = -1
-        self.conflict_edges: list[ConflictEdge] = []
-        self.mutex_edges: list[MutexEdge] = []
-        self.sync_edges: list[SyncEdge] = []
+        #: a :class:`~repro.cfg.conflicts.PFGEdgeInputs` the edge lists
+        #: still ``None`` below are computed from on first read
+        self.edge_inputs: Any = None
+        self._conflict_edges: Optional[list[ConflictEdge]] = []
+        self._mutex_edges: Optional[list[MutexEdge]] = []
+        self._sync_edges: Optional[list[SyncEdge]] = []
         #: stmt uid → (block_id, index within block.stmts); φ terms are
         #: indexed with negative positions (-len(phis)..-1) so that any
         #: φ orders before any ordinary statement of the same block.
@@ -99,6 +103,49 @@ class FlowGraph:
     def add_edge(self, src: int, dst: int) -> None:
         self.blocks[src].succs.append(dst)
         self.blocks[dst].preds.append(src)
+
+    def set_edge_inputs(self, inputs: Any) -> None:
+        """Replace the three edge lists by ``inputs.conflict_edges()``,
+        ``inputs.mutex_edges()`` and ``inputs.sync_edges()``, each
+        computed on its first read."""
+        self.edge_inputs = inputs
+        self._conflict_edges = self._mutex_edges = self._sync_edges = None
+
+    # Racing first reads (cached forms are shared between threads) each
+    # build an equal list and publish it; no reader sees a partial one.
+
+    @property
+    def conflict_edges(self) -> list[ConflictEdge]:
+        edges = self._conflict_edges
+        if edges is None:
+            edges = self._conflict_edges = self.edge_inputs.conflict_edges()
+        return edges
+
+    @conflict_edges.setter
+    def conflict_edges(self, edges: list[ConflictEdge]) -> None:
+        self._conflict_edges = edges
+
+    @property
+    def mutex_edges(self) -> list[MutexEdge]:
+        edges = self._mutex_edges
+        if edges is None:
+            edges = self._mutex_edges = self.edge_inputs.mutex_edges()
+        return edges
+
+    @mutex_edges.setter
+    def mutex_edges(self, edges: list[MutexEdge]) -> None:
+        self._mutex_edges = edges
+
+    @property
+    def sync_edges(self) -> list[SyncEdge]:
+        edges = self._sync_edges
+        if edges is None:
+            edges = self._sync_edges = self.edge_inputs.sync_edges()
+        return edges
+
+    @sync_edges.setter
+    def sync_edges(self, edges: list[SyncEdge]) -> None:
+        self._sync_edges = edges
 
     # -- queries -----------------------------------------------------------
 

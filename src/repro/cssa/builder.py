@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from repro.cfg.builder import build_flow_graph
 from repro.cfg.conflicts import (
-    add_conflict_edges,
-    add_mutex_edges,
-    add_sync_edges,
+    capture_pfg_edges,
     collect_access_sites,
     shared_variables,
 )
@@ -34,7 +32,8 @@ class CSSAForm:
     program:
         The program, now in CSSA form (φ and π terms materialized).
     graph:
-        The PFG the form was built on, with conflict/mutex/sync edges.
+        The PFG the form was built on, with conflict/mutex/sync edges
+        (each list computed on its first read).
     ssa:
         The :class:`~repro.ssa.construct.SSAContext` (dominator tree,
         entry defs, version counters).
@@ -73,9 +72,8 @@ def build_cssa(program: ProgramIR) -> CSSAForm:
     # π placement moves each rewritten read to its π's control argument
     # in the same block and adds no real definition, so the block-level
     # conflict edges of the pre-π sites are those of the CSSA form.
-    add_conflict_edges(graph, sites)
-    add_mutex_edges(graph)
-    add_sync_edges(graph)
+    # Few callers read the edge lists, so each is built on first read.
+    capture_pfg_edges(graph, sites)
     from repro.obs.trace import get_tracer
 
     if get_tracer().enabled:
@@ -85,7 +83,8 @@ def build_cssa(program: ProgramIR) -> CSSAForm:
             "cssa",
             pi_terms=len(pis),
             conflict_args=sum(len(pi.conflicts) for pi in pis),
+            conflict_sets=len({id(pi.conflict_set) for pi in pis}),
             shared_vars=len(shared),
-            conflict_edges=len(graph.conflict_edges),
+            conflict_edges=graph.edge_inputs.count_conflict_edges(),
         )
     return CSSAForm(program, graph, ssa, pis, shared)

@@ -34,7 +34,7 @@ from repro.cfg.conflicts import (
 from repro.cfg.graph import FlowGraph
 from repro.errors import SSAError
 from repro.ir.expr import EVar
-from repro.ir.stmts import IRStmt, Phi, Pi
+from repro.ir.stmts import ConflictSet, IRStmt, Phi, Pi
 from repro.ir.structured import (
     Body,
     IfRegion,
@@ -45,18 +45,23 @@ from repro.ir.structured import (
 __all__ = ["place_pi_terms"]
 
 
-def _structural_insert_before(stmt: IRStmt, pi: Pi) -> None:
-    """Insert ``pi`` immediately before ``stmt`` in the structured tree."""
+def _structural_insert_before(
+    stmt: IRStmt, pi: Pi, batches: dict[int, tuple[Body, list]]
+) -> None:
+    """Insert ``pi`` immediately before ``stmt`` in the structured tree.
+
+    Insertions into a :class:`Body` are queued in ``batches`` (body id →
+    (body, (anchor, π) pairs)) and applied by the caller, one pass per
+    body.
+    """
     parent = stmt.parent
     if isinstance(parent, Body):
-        parent.insert_before(stmt, pi)
-        return
-    if isinstance(parent, IfRegion):
+        anchor = stmt
+    elif isinstance(parent, IfRegion):
         # stmt is the branch condition: the π evaluates just before the
         # region in the enclosing body.
-        parent.parent.insert_before(parent, pi)
-        return
-    if isinstance(parent, WhileRegion):
+        parent, anchor = parent.parent, parent
+    elif isinstance(parent, WhileRegion):
         if stmt is parent.branch:
             # Loop condition: π must re-evaluate every iteration, so it
             # joins the loop-header terms (after any φs already there).
@@ -68,7 +73,10 @@ def _structural_insert_before(stmt: IRStmt, pi: Pi) -> None:
                 pi.parent = parent
                 parent.header_phis.insert(i, pi)
                 return
-    raise SSAError(f"cannot find structural position of {stmt!r}")
+        raise SSAError(f"cannot find structural position of {stmt!r}")
+    else:
+        raise SSAError(f"cannot find structural position of {stmt!r}")
+    batches.setdefault(id(parent), (parent, []))[1].append((anchor, pi))
 
 
 def place_pi_terms(
@@ -89,6 +97,9 @@ def place_pi_terms(
     # Real definitions of v concurrent with a block, in (block,
     # position) order: computed once per (v, thread path).
     concurrent = ConcurrentSites(graph, sites)
+    # The π conflict set of (v, thread path), built once and shared by
+    # every π of v on that path.
+    conflict_sets: dict[tuple[str, tuple], ConflictSet] = {}
 
     pis: list[Pi] = []
     # (stmt, block_id, uses by shared variable) for every candidate
@@ -106,17 +117,23 @@ def place_pi_terms(
                 pending.append((stmt, block.id, groups))
 
     insertions: dict[int, list[tuple[IRStmt, Pi]]] = {}
+    batches: dict[int, tuple[Body, list]] = {}
     for stmt, block_id, groups in pending:
         block = graph.blocks[block_id]
         for var in sorted(groups):
-            uses = groups[var]
-            conflict_defs = concurrent.of(var, block, real_defs=True)
-            if not conflict_defs:
+            key = (var, block.thread_path)
+            conflicts = conflict_sets.get(key)
+            if conflicts is None:
+                # One real definition per statement: no duplicates to drop.
+                conflicts = conflict_sets[key] = ConflictSet.of(
+                    EVar(var, d.stmt.version, d.stmt)
+                    for d in concurrent.of(var, block, real_defs=True)
+                )
+            if not conflicts:
                 continue
+            uses = groups[var]
             first = uses[0]
             control = EVar(first.name, first.version, first.def_site)
-            # One real definition per statement: no duplicates to drop.
-            conflicts = [EVar(var, d.stmt.version, d.stmt) for d in conflict_defs]
             temp = program.fresh_name(f"t{control.ssa_name}")
             pi = Pi(temp, var, control, conflicts)
             # Rewrite the statement's uses of var to the π temporary.
@@ -125,18 +142,23 @@ def place_pi_terms(
                 use.version = None
                 use.def_site = pi
             insertions.setdefault(block_id, []).append((stmt, pi))
-            _structural_insert_before(stmt, pi)
+            _structural_insert_before(stmt, pi, batches)
             pis.append(pi)
+    for body, pairs in batches.values():
+        body.insert_all_before(pairs)
 
-    # Mirror the insertions into the graph blocks.
+    # Mirror the insertions into the graph blocks, one pass per block.
     for block_id, pairs in insertions.items():
         block = graph.blocks[block_id]
+        before: dict[int, list[Pi]] = {}
         for stmt, pi in pairs:
-            for i, existing in enumerate(block.stmts):
-                if existing is stmt:
-                    block.stmts.insert(i, pi)
-                    break
-            else:  # pragma: no cover - defensive
-                raise SSAError(f"statement {stmt!r} not found in its block")
+            before.setdefault(stmt.uid, []).append(pi)
+        stmts: list[IRStmt] = []
+        for existing in block.stmts:
+            stmts.extend(before.pop(existing.uid, ()))
+            stmts.append(existing)
+        if before:  # pragma: no cover - defensive
+            raise SSAError(f"π anchor not found in block B{block_id}")
+        block.stmts = stmts
     graph.reindex_statements()
     return pis

@@ -33,9 +33,9 @@ from typing import Optional
 from repro.cfg.blocks import NodeKind
 from repro.cfg.dominance import DominatorTree, compute_dominators
 from repro.cfg.graph import FlowGraph
-from repro.ir.stmts import Pi, SAssign
-from repro.ir.structured import ProgramIR, iter_statements, remove_stmt
-from repro.ssa.chains import build_use_map
+from repro.cssame.rewrite import delete_reduced_pis
+from repro.ir.stmts import ConflictSet, Pi, SAssign
+from repro.ir.structured import ProgramIR, iter_statements
 
 __all__ = ["EventOrdering", "OrderingStats", "prune_pi_terms_by_ordering"]
 
@@ -168,7 +168,10 @@ def prune_pi_terms_by_ordering(
     domtree: Optional[DominatorTree] = None,
 ) -> OrderingStats:
     """Remove π conflict arguments whose definition must execute after
-    the protected use; delete π terms reduced to their control argument."""
+    the protected use; delete π terms reduced to their control argument.
+
+    The verdict depends only on the use's block and the definition, so
+    each (conflict set, use block) is pruned once."""
     stats = OrderingStats()
     ordering = EventOrdering(graph, domtree)
     if not ordering.set_nodes or not ordering.wait_nodes:
@@ -176,39 +179,31 @@ def prune_pi_terms_by_ordering(
 
     pis = [s for s, _ in iter_statements(program) if isinstance(s, Pi)]
     args_examined = 0
+    #: (conflict set, use block) → (kept set, arguments removed)
+    pruned: dict[tuple, tuple[ConflictSet, int]] = {}
     for pi in pis:
         if not graph.contains_stmt(pi):
             continue
         use_block = graph.block_of(pi).id
-        kept = []
-        for arg in pi.conflicts:
-            args_examined += 1
-            site = arg.def_site
-            if isinstance(site, SAssign) and graph.contains_stmt(site):
-                def_block = graph.block_of(site).id
-                if ordering.must_precede(use_block, def_block):
-                    stats.args_removed += 1
-                    continue
-            kept.append(arg)
-        pi.conflicts = kept
+        key = (pi.conflict_set, use_block)
+        found = pruned.get(key)
+        if found is None:
+            kept = []
+            for arg in pi.conflict_set:
+                args_examined += 1
+                site = arg.def_site
+                if isinstance(site, SAssign) and graph.contains_stmt(site):
+                    def_block = graph.block_of(site).id
+                    if ordering.must_precede(use_block, def_block):
+                        continue
+                kept.append(arg)
+            found = pruned[key] = (
+                ConflictSet.of(kept), len(pi.conflict_set) - len(kept)
+            )
+        pi.conflict_set, removed = found
+        stats.args_removed += removed
 
-    reduced = [pi for pi in pis if not pi.conflicts and pi.parent is not None]
-    if reduced:
-        usemap = build_use_map(program)
-        for pi in reduced:
-            control = pi.control
-            for use, _holder in usemap.uses_of(pi):
-                use.name = control.name
-                use.version = control.version
-                use.def_site = control.def_site
-            remove_stmt(pi)
-            block = graph.block_of(pi)
-            for i, existing in enumerate(block.stmts):
-                if existing is pi:
-                    block.stmts.pop(i)
-                    break
-            stats.pis_deleted += 1
-        graph.reindex_statements()
+    stats.pis_deleted = len(delete_reduced_pis(program, graph, pis))
     from repro.obs.trace import get_tracer
 
     if get_tracer().enabled:

@@ -27,7 +27,8 @@ class ReachingInfo:
         self.defs_of_use: dict[EVar, list[object]] = {}
         #: definition site → list of (use site, holder stmt)
         self.uses_of_def: dict[object, list[tuple[EVar, IRStmt]]] = {}
-        #: use site → holder statement
+        #: use site → holder statement (for a π conflict-set member,
+        #: shared by every π holding the set, the first such π)
         self.holder_of_use: dict[EVar, IRStmt] = {}
 
     def defs(self, use: EVar) -> list[object]:
@@ -46,6 +47,14 @@ def parallel_reaching_definitions(program: ProgramIR) -> ReachingInfo:
     marked: dict[object, EVar] = {}
 
     for use, holder in iter_uses(program):
+        seen = info.defs_of_use.get(use)
+        if seen is not None:
+            # A π conflict-set member is one use site shared by every π
+            # holding the set: walk it once, and record each further
+            # holder against the definitions that walk found.
+            for d in seen:
+                info.uses_of_def[d].append((use, holder))
+            continue
         info.holder_of_use[use] = holder
         defs_list = info.defs_of_use.setdefault(use, [])
         start = use.def_site

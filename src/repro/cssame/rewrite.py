@@ -10,6 +10,12 @@ the same structure is removed when either sufficient condition holds:
 A π term whose conflict arguments all disappear carries only its control
 argument; it is deleted and its uses are redirected to the control
 argument (``chain(u)``), exactly as A.3 lines 21–25 prescribe.
+
+Theorem 1 depends only on the definition and Theorem 2 only on the use,
+so every π with the same conflict set, in the same body, whose use is
+equally exposed loses the same arguments: the theorems are applied once
+per such key and the πs share the resulting set.  The decision events
+are still emitted per π and per argument, in π order.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from repro.cfg.graph import FlowGraph
 from repro.cssame.exposure import BodyDataflow
 from repro.errors import AnalysisError
 from repro.ir.expr import EVar
-from repro.ir.stmts import IRStmt, Pi, SAssign
-from repro.ir.structured import ProgramIR, iter_statements, remove_stmt
+from repro.ir.stmts import ConflictSet, Pi, SAssign
+from repro.ir.structured import Body, ProgramIR, iter_statements, remove_stmt
 from repro.mutex.structures import MutexBody, MutexStructure
 from repro.obs.events import (
     REASON_DOES_NOT_REACH_EXIT,
@@ -30,7 +36,7 @@ from repro.obs.events import (
 from repro.obs.trace import get_tracer
 from repro.ssa.chains import build_use_map
 
-__all__ = ["RewriteStats", "rewrite_pi_terms"]
+__all__ = ["RewriteStats", "delete_reduced_pis", "rewrite_pi_terms"]
 
 
 class RewriteStats:
@@ -65,6 +71,122 @@ def _collect_pis(program: ProgramIR) -> list[Pi]:
     ]
 
 
+def delete_reduced_pis(
+    program: ProgramIR, graph: FlowGraph, pis: list[Pi]
+) -> list[tuple[Pi, int]]:
+    """Delete every π of ``pis`` reduced to its control argument.
+
+    Uses of a deleted π are redirected to its control argument
+    (``chain(u)``, A.3 lines 21–25).  Each :class:`Body` and graph
+    block loses its πs in one pass.  Returns ``(π, uses redirected)``
+    for each deleted π, in ``pis`` order.
+    """
+    reduced = [pi for pi in pis if not pi.conflicts and pi.parent is not None]
+    if not reduced:
+        return []
+    usemap = build_use_map(program)
+    deleted: list[tuple[Pi, int]] = []
+    by_body: dict[int, tuple[Body, list[Pi]]] = {}
+    by_block: dict[int, set[int]] = {}
+    for pi in reduced:
+        control = pi.control
+        uses = usemap.uses_of(pi)
+        for use, _holder in uses:
+            use.name = control.name
+            use.version = control.version
+            use.def_site = control.def_site
+        if isinstance(pi.parent, Body):
+            by_body.setdefault(id(pi.parent), (pi.parent, []))[1].append(pi)
+        else:
+            remove_stmt(pi)
+        by_block.setdefault(graph.block_of(pi).id, set()).add(pi.uid)
+        deleted.append((pi, len(uses)))
+    for body, doomed in by_body.values():
+        body.remove_all(doomed)
+    for block_id, uids in by_block.items():
+        block = graph.blocks[block_id]
+        block.stmts = [s for s in block.stmts if s.uid not in uids]
+    graph.reindex_statements()
+    return deleted
+
+
+class _Rewrite:
+    """Theorems 1 and 2 applied once per (conflict set, mutex body,
+    exposure of the use): every π of that key loses the same
+    arguments."""
+
+    def __init__(self, graph: FlowGraph) -> None:
+        self.graph = graph
+        self._dataflow: dict[int, BodyDataflow] = {}
+        #: (body identity, def uid) → is the def killed inside that body?
+        self._killed: dict[tuple, bool] = {}
+        #: (set, body identity, use not exposed, variable) → (kept set,
+        #: removed (argument, reason) pairs)
+        self._results: dict[tuple, tuple[ConflictSet, list]] = {}
+
+    def dataflow(self, body: MutexBody) -> BodyDataflow:
+        cached = self._dataflow.get(id(body))
+        if cached is None:
+            cached = self._dataflow[id(body)] = BodyDataflow(self.graph, body)
+        return cached
+
+    def _other_body(self, arg: EVar, body: MutexBody, structure: MutexStructure):
+        """The body of ``structure`` holding ``arg``'s definition, when
+        it is not ``body`` (else ``None``: the theorems do not apply)."""
+        def_site = arg.def_site
+        if not isinstance(def_site, SAssign):
+            raise AnalysisError(
+                f"π conflict argument without a real definition: {arg!r}"
+            )
+        def_block, _ = self.graph.location_of(def_site)
+        other = structure.body_of_block(def_block)
+        return None if other is body else other
+
+    def result(
+        self,
+        cset: ConflictSet,
+        body: MutexBody,
+        structure: MutexStructure,
+        not_exposed: bool,
+        var: str,
+    ) -> tuple[ConflictSet, list]:
+        key = (cset, id(body), not_exposed, var)
+        found = self._results.get(key)
+        if found is not None:
+            return found
+        kept: list[EVar] = []
+        removed: list[tuple[EVar, str]] = []
+        for arg in cset:
+            other = self._other_body(arg, body, structure)
+            if other is None:
+                # Unsynchronized definition, or a definition in the same
+                # body (possible when the body spans a whole cobegin):
+                # the theorems do not apply — keep the argument.
+                kept.append(arg)
+            elif not_exposed:
+                removed.append((arg, REASON_NOT_UPWARD_EXPOSED))
+            elif self._is_killed(arg, other, var):
+                removed.append((arg, REASON_DOES_NOT_REACH_EXIT))
+            else:
+                kept.append(arg)
+        found = self._results[key] = (ConflictSet.of(kept), removed)
+        return found
+
+    def _is_killed(self, arg: EVar, other: MutexBody, var: str) -> bool:
+        # Theorem 1's condition depends only on the definition and the
+        # body it is judged against (a def under nested locks belongs to
+        # one body per structure).
+        def_site = arg.def_site
+        key = (id(other), def_site.uid)
+        killed = self._killed.get(key)
+        if killed is None:
+            def_block, def_index = self.graph.location_of(def_site)
+            killed = self._killed[key] = not self.dataflow(other).reaches_exit(
+                var, def_block, def_index
+            )
+        return killed
+
+
 def rewrite_pi_terms(
     program: ProgramIR,
     graph: FlowGraph,
@@ -77,18 +199,7 @@ def rewrite_pi_terms(
     stats.pis_before = len(pis)
     stats.args_before = sum(len(pi.conflicts) for pi in pis)
 
-    dataflow_cache: dict[int, BodyDataflow] = {}
-    #: (body identity, def uid) → does the def reach that body's exit?
-    reach_cache: dict[tuple, bool] = {}
-
-    def dataflow(body: MutexBody) -> BodyDataflow:
-        key = id(body)
-        cached = dataflow_cache.get(key)
-        if cached is None:
-            cached = BodyDataflow(graph, body)
-            dataflow_cache[key] = cached
-        return cached
-
+    rewrite = _Rewrite(graph)
     for _lock_name, structure in sorted(structures.items()):
         for body in structure.bodies:
             for block_id in sorted(body.nodes):
@@ -96,33 +207,26 @@ def rewrite_pi_terms(
                 for stmt in block.stmts:
                     if not isinstance(stmt, Pi):
                         continue
-                    _rewrite_one(
-                        stmt, body, structure, graph, dataflow, reach_cache,
-                        stats, tracer,
+                    # Theorem 2's condition depends only on the use.
+                    use_block, use_index = graph.location_of(stmt)
+                    not_exposed = not rewrite.dataflow(body).upward_exposed(
+                        stmt.var_name, use_block, use_index
                     )
+                    kept, removed = rewrite.result(
+                        stmt.conflict_set, body, structure, not_exposed, stmt.var_name
+                    )
+                    stmt.conflict_set = kept
+                    stats.args_removed += len(removed)
+                    for arg, reason in removed:
+                        _record_removal(tracer, structure, stmt, arg, reason)
 
-    # Delete π terms reduced to their control argument.
-    reduced = [pi for pi in pis if not pi.conflicts and pi.parent is not None]
-    if reduced:
-        usemap = build_use_map(program)
-        for pi in reduced:
-            control = pi.control
-            uses = usemap.uses_of(pi)
-            for use, _holder in uses:
-                use.name = control.name
-                use.version = control.version
-                use.def_site = control.def_site
-            remove_stmt(pi)
-            _remove_from_block(graph, pi)
-            stats.pis_deleted += 1
-            if tracer.enabled:
-                tracer.event(
-                    PiDeleted(
-                        pi.var_name, pi.target, control.ssa_name, len(uses)
-                    )
-                )
-                tracer.counter("cssame.pis_deleted").inc()
-        graph.reindex_statements()
+    for pi, nuses in delete_reduced_pis(program, graph, pis):
+        stats.pis_deleted += 1
+        if tracer.enabled:
+            tracer.event(
+                PiDeleted(pi.var_name, pi.target, pi.control.ssa_name, nuses)
+            )
+            tracer.counter("cssame.pis_deleted").inc()
     if tracer.enabled:
         from repro.obs.prof import record_work
 
@@ -132,65 +236,9 @@ def rewrite_pi_terms(
             conflict_args=stats.args_before,
             args_removed=stats.args_removed,
             pis_deleted=stats.pis_deleted,
+            sets_rewritten=len(rewrite._results),
         )
     return stats
-
-
-def _rewrite_one(
-    pi: Pi,
-    body: MutexBody,
-    structure: MutexStructure,
-    graph: FlowGraph,
-    dataflow,
-    reach_cache: dict[tuple, bool],
-    stats: RewriteStats,
-    tracer,
-) -> None:
-    var = pi.var_name
-    use_block, use_index = graph.location_of(pi)
-    # Theorem 2's condition depends only on the use, so compute it once
-    # per π (lazily — only when some argument needs it).
-    not_exposed: bool | None = None
-    kept: list[EVar] = []
-    for arg in pi.conflicts:
-        def_site = arg.def_site
-        if not isinstance(def_site, SAssign):
-            raise AnalysisError(
-                f"π conflict argument without a real definition: {arg!r}"
-            )
-        def_block, def_index = graph.location_of(def_site)
-        other_body = structure.body_of_block(def_block)
-        if other_body is None or other_body is body:
-            # Unsynchronized definition, or a definition in the same
-            # body (possible when the body spans a whole cobegin):
-            # the theorems do not apply — keep the argument.
-            kept.append(arg)
-            continue
-        if not_exposed is None:
-            not_exposed = not dataflow(body).upward_exposed(
-                var, use_block, use_index
-            )
-        if not_exposed:
-            stats.args_removed += 1
-            _record_removal(tracer, structure, pi, arg, REASON_NOT_UPWARD_EXPOSED)
-            continue
-        # Theorem 1's condition depends only on the definition and the
-        # body it is judged against (a def under nested locks belongs to
-        # one body per structure); cache it across every π that lists
-        # this definition.
-        cache_key = (id(other_body), def_site.uid)
-        killed = reach_cache.get(cache_key)
-        if killed is None:
-            killed = not dataflow(other_body).reaches_exit(
-                var, def_block, def_index
-            )
-            reach_cache[cache_key] = killed
-        if killed:
-            stats.args_removed += 1
-            _record_removal(tracer, structure, pi, arg, REASON_DOES_NOT_REACH_EXIT)
-        else:
-            kept.append(arg)
-    pi.conflicts = kept
 
 
 def _record_removal(
@@ -204,12 +252,3 @@ def _record_removal(
     )
     tracer.counter("cssame.args_removed").inc()
     tracer.counter(f"cssame.args_removed.{reason}").inc()
-
-
-def _remove_from_block(graph: FlowGraph, stmt: IRStmt) -> None:
-    block = graph.block_of(stmt)
-    for i, existing in enumerate(block.stmts):
-        if existing is stmt:
-            block.stmts.pop(i)
-            return
-    raise AnalysisError(f"{stmt!r} missing from its block")  # pragma: no cover

@@ -27,6 +27,7 @@ from repro.ir.expr import (
     substitute_vars,
 )
 from repro.ir.stmts import (
+    ConflictSet,
     IRStmt,
     SBarrier,
     Phi,
@@ -60,6 +61,7 @@ from repro.ir.printer import format_ir
 __all__ = [
     "Body",
     "CobeginRegion",
+    "ConflictSet",
     "EBin",
     "ECall",
     "EConst",

@@ -11,7 +11,8 @@ two primitives all dataflow analyses are built on.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Optional, Sequence
+import weakref
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.ir.expr import (
     EVar,
@@ -23,6 +24,7 @@ from repro.ir.expr import (
 )
 
 __all__ = [
+    "ConflictSet",
     "IRStmt",
     "SBarrier",
     "Phi",
@@ -368,6 +370,67 @@ class Phi(IRStmt):
         return f"{self.ssa_target} = phi({args});"
 
 
+class ConflictSet:
+    """The conflict arguments of π terms, stored once and shared.
+
+    Every use of ``v`` on one thread path lists the same concurrent
+    definitions (paper Section 4), so π placement gives all of those πs
+    one set, and each pass that filters arguments does so once per set.
+    Sets are immutable and interned by the identity of their members:
+    :meth:`of` returns the live set with exactly those members when
+    there is one.  Members are shared by every π holding the set, so no
+    code may edit one in place; assigning ``Pi.conflicts`` builds (or
+    finds) another set instead, which leaves every other holder
+    unchanged.
+    """
+
+    __slots__ = ("members", "_text", "_names", "__weakref__")
+
+    #: member ids → the live set with those members
+    _interned: "weakref.WeakValueDictionary[tuple, ConflictSet]" = (
+        weakref.WeakValueDictionary()
+    )
+
+    def __init__(self, members: tuple) -> None:
+        self.members: tuple[EVar, ...] = members
+        self._text: Optional[str] = None
+        self._names: Optional[frozenset[str]] = None
+
+    @classmethod
+    def of(cls, members: Iterable[EVar]) -> "ConflictSet":
+        """The interned set of ``members`` (in order)."""
+        members = tuple(members)
+        key = tuple(map(id, members))
+        found = cls._interned.get(key)
+        if found is None:
+            found = cls(members)
+            cls._interned[key] = found
+        return found
+
+    @property
+    def text(self) -> str:
+        """The members' SSA names, comma-separated (cached)."""
+        if self._text is None:
+            self._text = ", ".join(v.ssa_name for v in self.members)
+        return self._text
+
+    @property
+    def names(self) -> frozenset[str]:
+        """The base variable names the members read (cached)."""
+        if self._names is None:
+            self._names = frozenset(v.name for v in self.members)
+        return self._names
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __iter__(self) -> Iterator[EVar]:
+        return iter(self.members)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"ConflictSet({self.text})"
+
+
 class Pi(IRStmt):
     """``t = π(v_ctrl, v_d1, ..., v_dn)`` — a CSSA π term.
 
@@ -378,29 +441,45 @@ class Pi(IRStmt):
     removes conflict arguments proven unreachable by Theorems 1 and 2; a
     π reduced to its control argument alone is deleted.
 
+    The conflict arguments live in :attr:`conflict_set`, a
+    :class:`ConflictSet` shared with every π listing the same
+    definitions; :attr:`conflicts` reads its members, and assigning it
+    gives this π a new set (copy-on-write).
+
     ``var_name`` records which shared variable the π protects.  The
     target is a fresh single-assignment temporary, so ``version`` is
     always ``None``.
     """
 
-    __slots__ = ("target", "var_name", "control", "conflicts")
+    __slots__ = ("target", "var_name", "control", "conflict_set")
 
     def __init__(
         self,
         target: str,
         var_name: str,
         control: EVar,
-        conflicts: Sequence[EVar],
+        conflicts: "ConflictSet | Sequence[EVar]",
     ) -> None:
         super().__init__()
         self.target = target
         self.var_name = var_name
         self.control = control
-        self.conflicts = list(conflicts)
+        if not isinstance(conflicts, ConflictSet):
+            conflicts = ConflictSet.of(conflicts)
+        self.conflict_set = conflicts
+
+    @property
+    def conflicts(self) -> tuple[EVar, ...]:
+        """The conflict arguments (read-only; assign to replace)."""
+        return self.conflict_set.members
+
+    @conflicts.setter
+    def conflicts(self, members: Iterable[EVar]) -> None:
+        self.conflict_set = ConflictSet.of(members)
 
     def uses(self) -> Iterator[EVar]:
         yield self.control
-        yield from self.conflicts
+        yield from self.conflict_set.members
 
     def def_name(self) -> Optional[str]:
         return self.target
@@ -423,15 +502,9 @@ class Pi(IRStmt):
         return self.target
 
     def clone(self) -> "Pi":
-        return Pi(
-            self.target,
-            self.var_name,
-            self.control.copy(),
-            [v.copy() for v in self.conflicts],
-        )
+        return Pi(self.target, self.var_name, self.control.copy(), self.conflict_set)
 
     def to_str(self) -> str:
-        args = ", ".join(
-            [self.control.ssa_name] + [v.ssa_name for v in self.conflicts]
-        )
-        return f"{self.target} = pi({args});"
+        if not self.conflict_set:
+            return f"{self.target} = pi({self.control.ssa_name});"
+        return f"{self.target} = pi({self.control.ssa_name}, {self.conflict_set.text});"

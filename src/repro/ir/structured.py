@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional, Union
 
 from repro.errors import TransformError
 from repro.ir.expr import EVar
-from repro.ir.stmts import IRStmt, Phi, Pi, SBranch
+from repro.ir.stmts import ConflictSet, IRStmt, Phi, Pi, SBranch
 
 __all__ = [
     "Body",
@@ -97,9 +97,34 @@ class Body:
     def insert_after(self, anchor: Item, item: Item) -> None:
         self.insert(self.index(anchor) + 1, item)
 
+    def insert_all_before(self, pairs: list[tuple[Item, Item]]) -> None:
+        """Insert each ``(anchor, item)``'s item just before its anchor,
+        in one pass: the order ``insert_before`` calls would give."""
+        before: dict[int, list[Item]] = {}
+        for anchor, item in pairs:
+            before.setdefault(id(anchor), []).append(item)
+            self._adopt(item)
+        items: list[Item] = []
+        for existing in self.items:
+            items.extend(before.pop(id(existing), ()))
+            items.append(existing)
+        if before:
+            raise TransformError("insertion anchor not found in body")
+        self.items = items
+
     def remove(self, item: Item) -> None:
         self.items.pop(self.index(item))
         item.parent = None
+
+    def remove_all(self, items: list[Item]) -> None:
+        """Remove every one of ``items`` in one pass."""
+        doomed = {id(item) for item in items}
+        kept = [existing for existing in self.items if id(existing) not in doomed]
+        if len(kept) != len(self.items) - len(doomed):
+            raise TransformError("item to remove not found in body")
+        self.items = kept
+        for item in items:
+            item.parent = None
 
     def replace(self, item: Item, replacements: list[Item]) -> None:
         """Replace ``item`` with a (possibly empty) list of new items."""
@@ -318,9 +343,23 @@ def clone_program(program: ProgramIR) -> ProgramIR:
     new.body = _clone_body(program.body, new, stmt_map)
 
     # Second pass: remap def_site links into the cloned statements.
+    # A π conflict set is shared, so it is remapped once, into one new
+    # set that the cloned πs share in turn.
+    new_sets: dict[int, ConflictSet] = {}
     for stmt, _ctx in iter_statements(new):
-        for var in stmt.uses():
-            _remap_def_site(var, stmt_map)
+        if not isinstance(stmt, Pi):
+            for var in stmt.uses():
+                _remap_def_site(var, stmt_map)
+            continue
+        _remap_def_site(stmt.control, stmt_map)
+        old = stmt.conflict_set
+        mapped = new_sets.get(id(old))
+        if mapped is None:
+            members = [var.copy() for var in old]
+            for var in members:
+                _remap_def_site(var, stmt_map)
+            mapped = new_sets[id(old)] = ConflictSet.of(members)
+        stmt.conflict_set = mapped
     return new
 
 

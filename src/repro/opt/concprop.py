@@ -6,7 +6,9 @@ parallel programs exactly as Lee et al. (and this paper) describe:
 * φ terms meet their arguments over *executable* incoming control edges;
 * π terms meet their control argument with every conflict argument whose
   defining block is executable — so CSSAME's π pruning (fewer conflict
-  arguments) directly translates into more constants;
+  arguments) directly translates into more constants.  The meet over a
+  shared conflict set is kept once per set, and a π is re-evaluated only
+  when its set's meet moves;
 * ``cobegin`` makes all child threads executable at once;
 * constant branches keep only one successor edge executable, and the
   transformation phase folds the corresponding ``if``/``while`` regions.
@@ -24,7 +26,7 @@ from repro.cfg.builder import build_flow_graph
 from repro.cfg.graph import FlowGraph
 from repro.errors import TransformError
 from repro.ir.expr import EConst, EVar, IRExpr
-from repro.ir.stmts import IRStmt, Phi, Pi, SAssign, SBranch
+from repro.ir.stmts import ConflictSet, IRStmt, Phi, Pi, SAssign, SBranch
 from repro.ir.structured import (
     Body,
     CobeginRegion,
@@ -86,6 +88,9 @@ class _Analysis:
         self.evals = 0
         #: φ → positional arg↔pred mapping (None = conservative)
         self._phi_preds: dict[Phi, Optional[list[int]]] = {}
+        #: π conflict set → meet of its members that may execute, kept
+        #: current as member values descend (see _update)
+        self._set_meets: dict[ConflictSet, LatticeValue] = {}
 
     # -- lattice lookups ---------------------------------------------------
 
@@ -135,15 +140,25 @@ class _Analysis:
                     vals.append(self.value_of_var(arg.var))
             return meet_all(vals)
         if isinstance(stmt, Pi):
-            vals = [self.value_of_var(stmt.control)]
-            for arg in stmt.conflicts:
-                site = arg.def_site
-                if isinstance(site, IRStmt) and self.graph.contains_stmt(site):
-                    if self.graph.block_of(site).id not in self.executable_blocks:
-                        continue  # definition can never execute
-                vals.append(self.value_of_var(arg))
-            return meet_all(vals)
+            return meet(self.value_of_var(stmt.control), self.set_meet(stmt.conflict_set))
         raise TransformError(f"cannot evaluate {stmt!r}")  # pragma: no cover
+
+    def may_execute(self, var: EVar) -> bool:
+        """False when ``var``'s definition sits in a block that is not
+        (yet) executable: it can never execute."""
+        site = var.def_site
+        if isinstance(site, IRStmt) and self.graph.contains_stmt(site):
+            return self.graph.block_of(site).id in self.executable_blocks
+        return True
+
+    def set_meet(self, cset: ConflictSet) -> LatticeValue:
+        """Meet of a conflict set's members that may execute (cached)."""
+        found = self._set_meets.get(cset)
+        if found is None:
+            found = self._set_meets[cset] = meet_all(
+                self.value_of_var(arg) for arg in cset if self.may_execute(arg)
+            )
+        return found
 
     # -- worklist engine -------------------------------------------------------
 
@@ -216,16 +231,34 @@ class _Analysis:
         self.values[stmt] = merged
         if merged == old:
             return
-        for _use, holder in self.usemap.uses_of(stmt):
-            if isinstance(holder, (SAssign, Phi, Pi)):
-                if holder not in self._queued:
-                    self._queued.add(holder)
-                    self._ssa.append(holder)
-            elif isinstance(holder, SBranch):
-                if self.graph.contains_stmt(holder):
-                    holder_block = self.graph.block_of(holder)
-                    if holder_block.id in self.executable_blocks:
-                        self._process_branch(holder_block.id, holder)
+        for _use, holder in self.usemap.direct_uses_of(stmt):
+            self._requeue(holder)
+        # ``stmt`` sits in an executable block, so it counts in the
+        # meet of every conflict set listing it, and values only
+        # descend: the set's new meet is the old one met with
+        # ``merged``.  A set whose meet holds leaves its πs' values
+        # alone, and a set never met yet has no π evaluated with it.
+        for cset in self.usemap.sets_of(stmt):
+            cached = self._set_meets.get(cset)
+            if cached is None:
+                continue
+            lowered = meet(cached, merged)
+            if lowered != cached:
+                self._set_meets[cset] = lowered
+                for pi in self.usemap.pis_holding(cset):
+                    self._requeue(pi)
+
+    def _requeue(self, holder: IRStmt) -> None:
+        """Re-evaluate ``holder`` after one of its operands changed."""
+        if isinstance(holder, (SAssign, Phi, Pi)):
+            if holder not in self._queued:
+                self._queued.add(holder)
+                self._ssa.append(holder)
+        elif isinstance(holder, SBranch):
+            if self.graph.contains_stmt(holder):
+                holder_block = self.graph.block_of(holder)
+                if holder_block.id in self.executable_blocks:
+                    self._process_branch(holder_block.id, holder)
 
     def _revisit(self, stmt: IRStmt) -> None:
         if not self.graph.contains_stmt(stmt):
@@ -251,6 +284,8 @@ class _Transformer:
         self._structures = structures
         self._concurrent = None
         self._body_dataflow: dict[int, object] = {}
+        #: conflict set → its members that may execute
+        self._pruned_sets: dict[ConflictSet, ConflictSet] = {}
 
     def _mutex_structures(self):
         if self._structures is None:
@@ -436,15 +471,13 @@ class _Transformer:
             self.a._phi_preds[phi] = None
 
     def _prune_pi_args(self, pi: Pi) -> None:
-        graph = self.a.graph
-        kept = []
-        for arg in pi.conflicts:
-            site = arg.def_site
-            if isinstance(site, IRStmt) and graph.contains_stmt(site):
-                if graph.block_of(site).id not in self.a.executable_blocks:
-                    continue
-            kept.append(arg)
-        pi.conflicts = kept
+        """Drop conflict arguments that can never execute, once per set."""
+        pruned = self._pruned_sets.get(pi.conflict_set)
+        if pruned is None:
+            pruned = self._pruned_sets[pi.conflict_set] = ConflictSet.of(
+                arg for arg in pi.conflict_set if self.a.may_execute(arg)
+            )
+        pi.conflict_set = pruned
 
     # -- plain statements ----------------------------------------------------
 

@@ -36,7 +36,7 @@ from repro.cfg.blocks import BasicBlock, NodeKind
 from repro.cfg.builder import build_flow_graph
 from repro.cfg.conflicts import ConcurrentSites, collect_access_sites
 from repro.cfg.graph import FlowGraph
-from repro.ir.stmts import IRStmt, SAssign, SLock, SUnlock
+from repro.ir.stmts import IRStmt, Pi, SAssign, SLock, SUnlock
 from repro.ir.structured import Body, ProgramIR, remove_stmt
 from repro.mutex.identify import identify_mutex_structures
 from repro.mutex.structures import MutexBody, MutexStructure
@@ -93,8 +93,8 @@ class _Conflicts:
 
     def accesses_independent(self, stmt: IRStmt, block: BasicBlock) -> bool:
         """The Definition 5 access conditions alone (any stmt kind)."""
-        for use in stmt.uses():
-            if self.has_concurrent_write(use.name, block):
+        for name in _used_vars(stmt):
+            if self.has_concurrent_write(name, block):
                 return False
         target = stmt.def_name()
         if target is not None and self.has_concurrent_access(target, block):
@@ -120,6 +120,9 @@ def _defined_vars(stmt: IRStmt) -> set[str]:
 
 
 def _used_vars(stmt: IRStmt) -> set[str]:
+    if isinstance(stmt, Pi):
+        # A conflict set's names, computed once per set.
+        return {stmt.control.name} | stmt.conflict_set.names
     return {use.name for use in stmt.uses()}
 
 

@@ -101,10 +101,20 @@ def _mark_live(
         if isinstance(stmt, _SEED_KINDS):
             mark(stmt)
 
+    #: π conflict sets whose members' definitions are already marked
+    marked_sets: set[int] = set()
     while worklist:
         stmt = worklist.pop()
         # Data dependence: definitions feeding this statement are live.
-        for use in stmt.uses():
+        # A conflict set shared by many πs is followed once.
+        if isinstance(stmt, Pi):
+            uses = [stmt.control]
+            if id(stmt.conflict_set) not in marked_sets:
+                marked_sets.add(id(stmt.conflict_set))
+                uses.extend(stmt.conflict_set)
+        else:
+            uses = stmt.uses()
+        for use in uses:
             site = use.def_site
             if isinstance(site, IRStmt):
                 mark(site)
