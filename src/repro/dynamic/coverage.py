@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.vm.explore import print_outcomes
+
 __all__ = ["ScheduleCoverage"]
 
 
@@ -44,17 +46,6 @@ class ScheduleCoverage:
 
     # -- outcome coverage ---------------------------------------------------
 
-    @staticmethod
-    def _print_classes(outcomes) -> frozenset:
-        return frozenset(
-            tuple(
-                e
-                for e in o
-                if e[0] in ("print", "deadlock", "error", "livelock")
-            )
-            for o in outcomes
-        )
-
     @property
     def sampled_classes(self) -> int:
         """Distinct full outcome classes the sampled runs produced."""
@@ -63,7 +54,7 @@ class ScheduleCoverage:
     @property
     def sampled_print_classes(self) -> int:
         """Distinct print-level outcome classes sampled."""
-        return len(self._print_classes(self.sampled_outcomes))
+        return len(print_outcomes(self.sampled_outcomes))
 
     @property
     def outcome_coverage(self) -> Optional[float]:

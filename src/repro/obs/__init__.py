@@ -16,9 +16,6 @@ instrumentation site; see ``docs/OBSERVABILITY.md``.
 from repro.obs.events import (
     ContextSwitch,
     Event,
-    LockAcquire,
-    LockContention,
-    LockRelease,
     MutexBodyDiscovered,
     PassEnd,
     PassStart,
@@ -64,9 +61,6 @@ __all__ = [
     "Counter",
     "Event",
     "Histogram",
-    "LockAcquire",
-    "LockContention",
-    "LockRelease",
     "MetricsRegistry",
     "MutexBodyDiscovered",
     "NULL_TRACER",

@@ -23,11 +23,8 @@ __all__ = [
     "DynamicRaceObserved",
     "Event",
     "HappensBeforeEdge",
-    "LockAcquire",
     "LockBlockedInterval",
-    "LockContention",
     "LockHeldInterval",
-    "LockRelease",
     "MutexBodyDiscovered",
     "PassEnd",
     "PassStart",
@@ -214,66 +211,6 @@ class ContextSwitch(Event):
             "step": self.step,
             "prev": tid_str(self.prev_tid),
             "next": tid_str(self.next_tid),
-        }
-
-
-class LockAcquire(Event):
-    kind = "lock-acquire"
-    __slots__ = ("step", "lock", "tid")
-
-    def __init__(self, step: int, lock: str, tid: tuple) -> None:
-        super().__init__()
-        self.step = step
-        self.lock = lock
-        self.tid = tid
-
-    def payload(self) -> dict:
-        return {"step": self.step, "lock": self.lock, "tid": tid_str(self.tid)}
-
-
-class LockRelease(Event):
-    """An unlock; ``held_steps`` is the global-step length of the hold."""
-
-    kind = "lock-release"
-    __slots__ = ("step", "lock", "tid", "held_steps")
-
-    def __init__(self, step: int, lock: str, tid: tuple, held_steps: int) -> None:
-        super().__init__()
-        self.step = step
-        self.lock = lock
-        self.tid = tid
-        self.held_steps = held_steps
-
-    def payload(self) -> dict:
-        return {
-            "step": self.step,
-            "lock": self.lock,
-            "tid": tid_str(self.tid),
-            "held_steps": self.held_steps,
-        }
-
-
-class LockContention(Event):
-    """One global step during which a runnable thread sat blocked on a
-    lock held by another thread (emitted once per blocked thread per
-    step, mirroring ``Execution.lock_blocked_steps``)."""
-
-    kind = "lock-contention"
-    __slots__ = ("step", "lock", "tid", "owner")
-
-    def __init__(self, step: int, lock: str, tid: tuple, owner: tuple) -> None:
-        super().__init__()
-        self.step = step
-        self.lock = lock
-        self.tid = tid
-        self.owner = owner
-
-    def payload(self) -> dict:
-        return {
-            "step": self.step,
-            "lock": self.lock,
-            "tid": tid_str(self.tid),
-            "owner": tid_str(self.owner),
         }
 
 

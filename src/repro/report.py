@@ -8,21 +8,17 @@ numbers.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.cfg.blocks import NodeKind
 from repro.cssa.builder import CSSAForm
 from repro.ir.stmts import Phi, Pi, SAssign
 from repro.ir.structured import ProgramIR, count_statements, iter_statements
-from repro.obs.events import Event
-from repro.obs.trace import Tracer, use_tracer
 from repro.vm.machine import run_random
 
 __all__ = [
     "FormMetrics",
     "critical_section_profile",
-    "critical_section_profile_from_trace",
-    "lock_profile_from_events",
     "lock_timeline_summary",
     "measure_form",
     "pfg_inventory",
@@ -115,49 +111,6 @@ def critical_section_profile(
     }
 
 
-def lock_profile_from_events(
-    events: Iterable, total_steps: int
-) -> dict[str, dict[str, int]]:
-    """Recompute per-lock statistics from a VM event trace.
-
-    Accepts :class:`~repro.obs.events.Event` objects or the dicts a
-    jsonl trace loads back to, and rebuilds exactly the three maps the
-    VM's ad-hoc counters maintain (``lock_held_steps``,
-    ``lock_blocked_steps``, ``lock_acquisitions``): acquisitions count
-    ``lock-acquire`` events, held steps sum ``lock-release`` hold
-    lengths (plus ``total_steps - acquire_step`` for locks never
-    released, e.g. across a deadlock), and blocked steps count
-    ``lock-contention`` events — one is emitted per blocked thread per
-    global step.
-    """
-    held: dict[str, int] = {}
-    blocked: dict[str, int] = {}
-    acquisitions: dict[str, int] = {}
-    open_holds: dict[str, int] = {}  # lock → step of unmatched acquire
-    for event in events:
-        record = event.as_dict() if isinstance(event, Event) else event
-        kind = record.get("kind")
-        if kind == "lock-acquire":
-            lock = record["lock"]
-            acquisitions[lock] = acquisitions.get(lock, 0) + 1
-            open_holds[lock] = record["step"]
-        elif kind == "lock-release":
-            lock = record["lock"]
-            held[lock] = held.get(lock, 0) + record["held_steps"]
-            open_holds.pop(lock, None)
-        elif kind == "lock-contention":
-            lock = record["lock"]
-            blocked[lock] = blocked.get(lock, 0) + 1
-    # A lock held when the run ended (deadlock) was counted by the VM at
-    # every *subsequent* step except the acquiring one, and the final
-    # loop iteration never re-accounts — hence the -1.
-    for lock, acquired_at in open_holds.items():
-        extra = max(0, total_steps - 1 - acquired_at)
-        if extra:  # the VM never materializes zero-valued entries
-            held[lock] = held.get(lock, 0) + extra
-    return {"held": held, "blocked": blocked, "acquisitions": acquisitions}
-
-
 def lock_timeline_summary(execution) -> dict[str, dict]:
     """Per-lock contention timeline summary of one execution.
 
@@ -190,37 +143,3 @@ def lock_timeline_summary(execution) -> dict[str, dict]:
         if interval.get("open"):
             row["open"] = True
     return summary
-
-
-def critical_section_profile_from_trace(
-    program: ProgramIR,
-    seeds: Iterable[int] = range(8),
-    fuel: int = 1_000_000,
-) -> dict[str, float]:
-    """:func:`critical_section_profile`, recomputed from event traces.
-
-    Runs the same seeds under an enabled tracer and derives every number
-    from the emitted ``lock-*`` events instead of the VM's counters; the
-    two functions agree exactly, which the test suite locks in.
-    """
-    seed_list = list(seeds)
-    held = 0.0
-    blocked = 0.0
-    acquisitions = 0.0
-    steps = 0.0
-    for seed in seed_list:
-        tracer = Tracer()
-        with use_tracer(tracer):
-            ex = run_random(program, seed=seed, fuel=fuel)
-        profile = lock_profile_from_events(tracer.events(), ex.steps)
-        held += sum(profile["held"].values())
-        blocked += sum(profile["blocked"].values())
-        acquisitions += sum(profile["acquisitions"].values())
-        steps += ex.steps
-    n = max(len(seed_list), 1)
-    return {
-        "avg_lock_held_steps": held / n,
-        "avg_lock_blocked_steps": blocked / n,
-        "avg_lock_acquisitions": acquisitions / n,
-        "avg_steps": steps / n,
-    }

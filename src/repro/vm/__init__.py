@@ -11,13 +11,15 @@ atomically).
   child threads; the parent joins).  SSA-form programs execute directly:
   φ terms are no-ops and π terms are copies, which is precisely the
   conventional-SSA runtime meaning.
-* :mod:`repro.vm.machine` — a seeded random scheduler with fuel,
-  deadlock detection, and per-lock hold-time instrumentation (used to
-  measure what LICM buys).
+* :mod:`repro.vm.machine` — the one transition function
+  (``Machine.step``) and a seeded random scheduler / replay loop around
+  it with fuel, deadlock detection, and per-lock hold-time
+  instrumentation (used to measure what LICM buys).
 * :mod:`repro.vm.explore` — an exhaustive interleaving explorer (a tiny
-  model checker with state memoization) that enumerates *every*
-  reachable output sequence of a small program; the verification suite
-  uses it to prove optimizations preserve the full behaviour set.
+  model checker with state memoization) that steps the same machine
+  and enumerates *every* reachable output sequence of a small program;
+  the verification suite uses it to prove optimizations preserve the
+  full behaviour set.
 """
 
 from repro.vm.bytecode import Instr, Op, VMProgram

@@ -12,10 +12,12 @@ The verification suite uses :func:`explore` to prove that an optimized
 program has exactly the same outcome set as the original — for every
 schedule, not just sampled ones.
 
-State canonicalization: threads are keyed by their spawn path (so two
-schedules reaching the same configuration share a state), zero-valued
-variables are dropped from memory, and output produced so far is *not*
-part of the state (outcomes are composed from memoized suffixes).
+The explorer has no semantics of its own: it steps states with
+:meth:`repro.vm.machine.Machine.step`, the transition function the VM
+runs, and keys them by :meth:`~repro.vm.machine.Machine.snapshot`
+(threads keyed by spawn path, zero-valued variables dropped).  Output
+produced so far is *not* part of the state: outcomes are composed from
+memoized suffixes.
 """
 
 from __future__ import annotations
@@ -26,15 +28,20 @@ from typing import Callable, Iterable, Optional, Union
 from repro.errors import VMError
 from repro.ir.structured import ProgramIR
 from repro.obs.trace import get_tracer
-from repro.opt.folding import eval_expr_concrete
-from repro.vm.bytecode import Op, VMProgram
+from repro.vm.bytecode import VMProgram
 from repro.vm.compile import compile_program
-from repro.vm.machine import default_functions
+from repro.vm.machine import Machine, default_functions
 
-__all__ = ["ExplorationResult", "explore", "find_witness"]
+__all__ = ["ExplorationResult", "explore", "find_witness", "print_outcomes"]
 
-# A thread record: (tid, pc, status, pending) with status "r"un/"j"oin.
-_ThreadRec = tuple
+
+def print_outcomes(outcomes: Iterable[tuple]) -> frozenset:
+    """Outcomes reduced to print-level classes: call events dropped,
+    prints and terminal markers kept."""
+    return frozenset(
+        tuple(e for e in o if e[0] in ("print", "deadlock", "error", "livelock"))
+        for o in outcomes
+    )
 
 
 class ExplorationResult:
@@ -55,39 +62,11 @@ class ExplorationResult:
         return any(o and o[-1] == ("deadlock",) for o in self.outcomes)
 
     @property
-    def can_livelock(self) -> bool:
-        return any(o and o[-1] == ("livelock",) for o in self.outcomes)
-
-    def print_outcomes(self) -> frozenset:
-        """Outcomes reduced to printed values only (no call events)."""
-        return frozenset(
-            tuple(e for e in o if e[0] in ("print", "deadlock", "error", "livelock"))
-            for o in self.outcomes
-        )
-
-    @property
     def print_classes(self) -> int:
         """Number of distinct print-level outcome classes — the paper's
         observable-behaviour count (what sampled schedules are measured
         against in :mod:`repro.dynamic.coverage`)."""
-        return len(self.print_outcomes())
-
-    def coverage_of(self, sampled: Iterable[tuple]) -> dict:
-        """Schedule-coverage summary of ``sampled`` outcome keys (from
-        ``Execution.output_key()``) against this exhaustive result."""
-        seen = set(sampled)
-        hit = seen & self.outcomes
-        return {
-            "states": self.states,
-            "complete": self.complete,
-            "outcome_classes": len(self.outcomes),
-            "print_classes": self.print_classes,
-            "sampled_classes": len(seen),
-            "sampled_hit": len(hit),
-            "outcome_coverage": (
-                round(len(hit) / len(self.outcomes), 4) if self.outcomes else None
-            ),
-        }
+        return len(print_outcomes(self.outcomes))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -97,132 +76,36 @@ class ExplorationResult:
 
 
 class _Explorer:
+    """Depth-first search over :meth:`Machine.snapshot` states, stepping
+    with :meth:`Machine.step`."""
+
     def __init__(
         self,
         program: VMProgram,
         functions: Callable[[str, list[int]], int],
         max_states: int,
     ) -> None:
-        self.program = program
-        self.functions = functions
+        self.machine = Machine(program, functions)
         self.max_states = max_states
         self.memo: dict[tuple, frozenset] = {}
         self.gray: set[tuple] = set()
         self.truncated = False
 
-    # -- state helpers -----------------------------------------------------
+    def runnable(self, state: tuple) -> list[tuple]:
+        """Runnable thread ids of ``state``, in spawn-path order.  Only
+        the lock owners and set events are decoded."""
+        machine = self.machine
+        machine.locks = dict(state[2])
+        machine.events_set = set(state[3])
+        runnable = machine.runnable
+        return [rec[0] for rec in state[0] if runnable(rec)]
 
-    def initial_state(self) -> tuple:
-        threads = ((((), self.program.entry, "r", 0)),)
-        return (threads, (), (), ())
-
-    def _eval(self, expr, memory: dict) -> int:
-        return eval_expr_concrete(
-            expr, lambda name: memory.get(name, 0), self.functions
-        )
-
-    def _runnable(self, state: tuple) -> list[int]:
-        threads, memory_t, locks_t, events_t = state
-        locks = dict(locks_t)
-        events = set(events_t)
-        out = []
-        for i, (tid, pc, status, _pending) in enumerate(threads):
-            if status != "r":
-                continue
-            instr = self.program.instrs[pc]
-            if instr.op is Op.LOCK and locks.get(instr.name) is not None:
-                continue
-            if instr.op is Op.WAIT and instr.name not in events:
-                continue
-            out.append(i)
-        return out
-
-    def _step(self, state: tuple, index: int) -> tuple[Optional[tuple], tuple]:
-        """Execute thread ``index``; returns (event or None, next state)."""
-        threads_t, memory_t, locks_t, events_t = state
-        threads = {t[0]: list(t) for t in threads_t}
-        memory = dict(memory_t)
-        locks = dict(locks_t)
-        events = set(events_t)
-
-        tid = threads_t[index][0]
-        rec = threads[tid]
-        instr = self.program.instrs[rec[1]]
-        op = instr.op
-        event: Optional[tuple] = None
-
-        if op is Op.ASSIGN:
-            memory[instr.name] = self._eval(instr.expr, memory)
-            rec[1] += 1
-        elif op is Op.PRINT:
-            event = ("print", tuple(self._eval(e, memory) for e in instr.exprs))
-            rec[1] += 1
-        elif op is Op.CALL:
-            event = (
-                "call",
-                instr.name,
-                tuple(self._eval(e, memory) for e in instr.exprs),
-            )
-            rec[1] += 1
-        elif op is Op.LOCK:
-            locks[instr.name] = tid
-            rec[1] += 1
-        elif op is Op.UNLOCK:
-            if locks.get(instr.name) != tid:
-                raise VMError(f"unlock of un-owned lock {instr.name}")
-            del locks[instr.name]
-            rec[1] += 1
-        elif op is Op.SET:
-            events.add(instr.name)
-            rec[1] += 1
-        elif op is Op.WAIT:
-            rec[1] += 1
-        elif op is Op.BARRIER:
-            waiting = [
-                t_id
-                for t_id, t_rec in threads.items()
-                if t_rec[2] == "b"
-                and self.program.instrs[t_rec[1]].op is Op.BARRIER
-                and self.program.instrs[t_rec[1]].name == instr.name
-            ]
-            if len(waiting) + 1 >= (instr.target or 1):
-                for t_id in waiting:
-                    threads[t_id][2] = "r"
-                    threads[t_id][1] += 1
-                rec[1] += 1
-            else:
-                rec[2] = "b"
-        elif op is Op.JUMP:
-            rec[1] = instr.target
-        elif op is Op.BRANCH:
-            if self._eval(instr.expr, memory) != 0:
-                rec[1] += 1
-            else:
-                rec[1] = instr.target
-        elif op is Op.COBEGIN:
-            rec[2] = "j"
-            rec[3] = len(instr.entries)
-            rec[1] = instr.target
-            for i, entry in enumerate(instr.entries):
-                child_tid = tid + (i,)
-                threads[child_tid] = [child_tid, entry, "r", 0]
-        elif op is Op.END_THREAD or op is Op.HALT:
-            del threads[tid]
-            if op is Op.END_THREAD:
-                parent = threads[tid[:-1]]
-                parent[3] -= 1
-                if parent[3] == 0:
-                    parent[2] = "r"
-        else:  # pragma: no cover - defensive
-            raise VMError(f"unknown instruction {instr!r}")
-
-        new_threads = tuple(
-            tuple(threads[k]) for k in sorted(threads.keys())
-        )
-        new_memory = tuple(sorted((k, v) for k, v in memory.items() if v != 0))
-        new_locks = tuple(sorted(locks.items()))
-        new_events = tuple(sorted(events))
-        return event, (new_threads, new_memory, new_locks, new_events)
+    def successor(self, state: tuple, tid: tuple) -> tuple[Optional[tuple], tuple]:
+        """Step ``tid`` from ``state``: (event or None, next state)."""
+        machine = self.machine
+        machine.load(state)
+        event = machine.step(tid)
+        return event, machine.snapshot()
 
     # -- DFS with memoized suffixes ---------------------------------------------
 
@@ -242,14 +125,14 @@ class _Explorer:
             return frozenset({(("truncated",),)})
 
         self.gray.add(state)
-        runnable = self._runnable(state)
+        runnable = self.runnable(state)
         collected: set = set()
         if not runnable:
             collected.add((("deadlock",),))
         else:
-            for index in runnable:
+            for tid in runnable:
                 try:
-                    event, next_state = self._step(state, index)
+                    event, next_state = self.successor(state, tid)
                 except VMError as exc:
                     collected.add((("error", str(exc)),))
                     continue
@@ -279,7 +162,8 @@ def find_witness(
     Used to turn an equivalence-check counterexample ("the transformed
     program can print X") into a concrete replayable interleaving.
     Returns ``None`` when no schedule produces the outcome within the
-    state budget.
+    state budget.  For an ``("error", msg)`` outcome the schedule ends
+    with the failing step, so its replay raises that :class:`VMError`.
     """
     if isinstance(program, ProgramIR):
         program = compile_program(program)
@@ -297,17 +181,19 @@ def find_witness(
         threads = state[0]
         if not threads:
             return list(schedule) if not remaining else None
-        runnable = explorer._runnable(state)
+        runnable = explorer.runnable(state)
         if not runnable:
             # Terminal deadlock: matches only the deadlock marker.
             if remaining == (("deadlock",),):
                 return list(schedule)
             return None
-        for index in runnable:
-            tid = threads[index][0]
+        for tid in runnable:
             try:
-                event, next_state = explorer._step(state, index)
-            except VMError:
+                event, next_state = explorer.successor(state, tid)
+            except VMError as exc:
+                # A failing step ends the schedule with the error marker.
+                if remaining == (("error", str(exc)),):
+                    return schedule + [tid]
                 continue
             if event is None:
                 next_remaining = remaining
@@ -327,7 +213,7 @@ def find_witness(
     tracer = get_tracer()
     try:
         with tracer.span("find-witness", max_states=max_states) as span:
-            schedule = dfs(explorer.initial_state(), tuple(outcome), [])
+            schedule = dfs(explorer.machine.snapshot(), tuple(outcome), [])
             span.set(
                 found=schedule is not None,
                 states_considered=len(seen),
@@ -357,7 +243,7 @@ def explore(
     tracer = get_tracer()
     try:
         with tracer.span("explore", max_states=max_states) as span:
-            outcomes = explorer.outcomes(explorer.initial_state())
+            outcomes = explorer.outcomes(explorer.machine.snapshot())
             span.set(
                 states=len(explorer.memo),
                 outcomes=len(outcomes),

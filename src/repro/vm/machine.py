@@ -1,4 +1,9 @@
-"""The interleaving virtual machine (seeded random scheduler).
+"""The interleaving machine: one transition function, one scheduling loop.
+
+:class:`Machine` holds the state and :meth:`Machine.step`, the only
+code that executes an instruction.  :class:`VirtualMachine` drives it
+under a seeded random scheduler or a fixed schedule (replay), and
+:mod:`repro.vm.explore` drives it over canonical snapshots.
 
 Semantics:
 
@@ -14,9 +19,10 @@ Semantics:
   program; calls in expression position are pure and evaluated through a
   deterministic binding (user-suppliable).
 
-Instrumentation: the machine counts, per lock, how many global steps it
-was held and how many steps threads spent blocked on it — the metrics
-the LICM benchmarks report.
+Instrumentation (:class:`VirtualMachine` only): per lock, how many
+global steps it was held and how many steps threads spent blocked on
+it — the metrics the LICM benchmarks report — plus the held/blocked
+interval timeline.
 """
 
 from __future__ import annotations
@@ -28,19 +34,16 @@ from repro.errors import DeadlockError, StepLimitExceeded, VMError
 from repro.ir.structured import ProgramIR
 from repro.obs.events import (
     ContextSwitch,
-    LockAcquire,
     LockBlockedInterval,
-    LockContention,
     LockHeldInterval,
-    LockRelease,
     VMStep,
 )
 from repro.obs.trace import get_tracer
 from repro.opt.folding import eval_expr_concrete
-from repro.vm.bytecode import Instr, Op, VMProgram
+from repro.vm.bytecode import Op, VMProgram
 from repro.vm.compile import compile_program
 
-__all__ = ["Execution", "VirtualMachine", "default_functions", "run_random"]
+__all__ = ["Execution", "Machine", "VirtualMachine", "default_functions", "run_random"]
 
 
 def default_functions(name: str, args: list[int]) -> int:
@@ -56,14 +59,150 @@ def default_functions(name: str, args: list[int]) -> int:
     return acc % 1009 - 504
 
 
-class _Thread:
-    __slots__ = ("tid", "pc", "status", "pending")
+#: Thread status in a thread record ``[tid, pc, status, pending]``;
+#: a finished thread's record is dropped.
+RUN, JOIN, BARRIER = "r", "j", "b"
 
-    def __init__(self, tid: tuple, pc: int) -> None:
-        self.tid = tid
-        self.pc = pc
-        self.status = "run"  # "run" | "join" | "done"
-        self.pending = 0  # children still running (status == "join")
+
+class Machine:
+    """One interleaving machine state and the transition function over it.
+
+    The state is the thread records (``tid`` → ``[tid, pc, status,
+    pending]``, keyed by spawn path; ``pending`` counts a joining
+    parent's unfinished children), shared memory, lock owners and the
+    set events.  :meth:`step` is the only code that executes an
+    instruction: :class:`VirtualMachine` drives it under a scheduler,
+    and the explorer drives it from canonical :meth:`snapshot` states.
+    """
+
+    def __init__(
+        self,
+        program: VMProgram,
+        functions: Callable[[str, list[int]], int],
+    ) -> None:
+        self.program = program
+        self.instrs = program.instrs
+        self.functions = functions
+        self.threads: dict[tuple, list] = {(): [(), program.entry, RUN, 0]}
+        self.memory: dict[str, int] = {}
+        self.locks: dict[str, tuple] = {}  # lock name → owner tid
+        self.events_set: set[str] = set()
+
+    def snapshot(self) -> tuple:
+        """The canonical, hashable encoding of the state.
+
+        Threads are sorted by spawn path and zero-valued variables are
+        dropped (unset variables read as 0), so schedules that reach the
+        same configuration share one snapshot.
+        """
+        threads = self.threads
+        memory = tuple(sorted(self.memory.items()))
+        if 0 in self.memory.values():
+            memory = tuple(kv for kv in memory if kv[1] != 0)
+        return (
+            tuple(map(tuple, map(threads.get, sorted(threads)))),
+            memory,
+            tuple(sorted(self.locks.items())),
+            tuple(sorted(self.events_set)),
+        )
+
+    def load(self, snapshot: tuple) -> None:
+        """Make ``snapshot`` the current state."""
+        threads, memory, locks, events = snapshot
+        self.threads = {rec[0]: list(rec) for rec in threads}
+        self.memory = dict(memory)
+        self.locks = dict(locks)
+        self.events_set = set(events)
+
+    def runnable(self, rec) -> bool:
+        """Can the thread with record ``rec`` take a step now?"""
+        if rec[2] != RUN:
+            return False
+        instr = self.instrs[rec[1]]
+        if instr.op is Op.LOCK:
+            return instr.name not in self.locks
+        if instr.op is Op.WAIT:
+            return instr.name in self.events_set
+        return True
+
+    def _env(self, name: str) -> int:
+        return self.memory.get(name, 0)
+
+    def _eval(self, expr) -> int:
+        return eval_expr_concrete(expr, self._env, self.functions)
+
+    def step(self, tid: tuple) -> Optional[tuple]:
+        """Execute one instruction of the runnable thread ``tid``.
+
+        Returns the observable event (``("print", values)`` or
+        ``("call", name, values)``) or None; raises :class:`VMError`
+        for an unlock by a thread that does not own the lock.
+        """
+        rec = self.threads[tid]
+        instr = self.instrs[rec[1]]
+        op = instr.op
+        event: Optional[tuple] = None
+        if op is Op.ASSIGN:
+            self.memory[instr.name] = self._eval(instr.expr)
+            rec[1] += 1
+        elif op is Op.PRINT:
+            event = ("print", tuple(self._eval(e) for e in instr.exprs))
+            rec[1] += 1
+        elif op is Op.CALL:
+            event = ("call", instr.name, tuple(self._eval(e) for e in instr.exprs))
+            rec[1] += 1
+        elif op is Op.LOCK:
+            if instr.name in self.locks:  # pragma: no cover - defensive
+                raise VMError("scheduled a blocked lock acquire")
+            self.locks[instr.name] = tid
+            rec[1] += 1
+        elif op is Op.UNLOCK:
+            owner = self.locks.get(instr.name)
+            if owner != tid:
+                raise VMError(f"unlock({instr.name}) by {tid} but owner is {owner}")
+            del self.locks[instr.name]
+            rec[1] += 1
+        elif op is Op.SET:
+            self.events_set.add(instr.name)
+            rec[1] += 1
+        elif op is Op.WAIT:
+            if instr.name not in self.events_set:  # pragma: no cover - defensive
+                raise VMError("scheduled a blocked wait")
+            rec[1] += 1
+        elif op is Op.BARRIER:
+            waiting = [
+                other for other in self.threads.values()
+                if other[2] == BARRIER and self.instrs[other[1]].name == instr.name
+            ]
+            if len(waiting) + 1 >= (instr.target or 1):
+                for other in waiting:
+                    other[2] = RUN
+                    other[1] += 1
+                rec[1] += 1
+            else:
+                rec[2] = BARRIER
+        elif op is Op.JUMP:
+            rec[1] = instr.target
+        elif op is Op.BRANCH:
+            rec[1] = rec[1] + 1 if self._eval(instr.expr) != 0 else instr.target
+        elif op is Op.COBEGIN:
+            rec[1] = instr.target
+            rec[2] = JOIN
+            rec[3] = len(instr.entries)
+            for i, entry in enumerate(instr.entries):
+                child = tid + (i,)
+                self.threads[child] = [child, entry, RUN, 0]
+        elif op is Op.END_THREAD:
+            del self.threads[tid]
+            parent = self.threads[tid[:-1]]
+            parent[3] -= 1
+            if parent[3] == 0:
+                parent[2] = RUN
+        elif op is Op.HALT:
+            del self.threads[tid]
+        else:  # pragma: no cover - defensive
+            raise VMError(f"unknown instruction {instr!r}")
+        return event
 
 
 class Execution:
@@ -101,8 +240,12 @@ class Execution:
         return f"Execution(events={len(self.events)}, steps={self.steps})"
 
 
-class VirtualMachine:
-    """Runs a compiled program under a seeded random scheduler."""
+class VirtualMachine(Machine):
+    """Runs a compiled program under a seeded random scheduler.
+
+    Lock accounting, the happens-before hooks and tracer events wrap
+    :meth:`Machine.step`; the explorer drives the bare step.
+    """
 
     def __init__(
         self,
@@ -114,17 +257,9 @@ class VirtualMachine:
     ) -> None:
         if isinstance(program, ProgramIR):
             program = compile_program(program)
-        self.program = program
+        super().__init__(program, functions or default_functions)
         self.rng = random.Random(seed)
-        self.functions = functions or default_functions
         self.fuel = fuel
-
-        self.memory: dict[str, int] = {}
-        self.locks: dict[str, tuple] = {}  # lock name → owner tid
-        self.events_set: set[str] = set()
-        self.threads: dict[tuple, _Thread] = {}
-        main = _Thread((), self.program.entry)
-        self.threads[()] = main
         self.execution = Execution()
         #: the tracer in effect at construction time; with the default
         #: no-op tracer every hook below is one attribute read + branch
@@ -136,276 +271,180 @@ class VirtualMachine:
         self._acquired_at: dict[str, int] = {}  # lock → step of acquisition
         self._blocked_since: dict[tuple, int] = {}  # (lock, tid) → step
 
-    # -- expression evaluation ----------------------------------------------
-
-    def _env(self, name: str) -> int:
-        return self.memory.get(name, 0)
-
-    def _eval(self, expr) -> int:
-        return eval_expr_concrete(expr, self._env, self.functions)
-
-    # -- scheduling ------------------------------------------------------------
-
-    def _is_runnable(self, thread: _Thread) -> bool:
-        if thread.status != "run":
-            return False
-        instr = self.program.instrs[thread.pc]
-        if instr.op is Op.LOCK:
-            return self.locks.get(instr.name) is None
-        if instr.op is Op.WAIT:
-            return instr.name in self.events_set
-        return True
-
-    def _alive(self) -> list[_Thread]:
-        return [t for t in self.threads.values() if t.status != "done"]
+    # -- the scheduling loop -------------------------------------------------
 
     def run(self, raise_on_deadlock: bool = True) -> Execution:
         """Execute to completion (or deadlock / fuel exhaustion)."""
+        rng = self.rng
         ex = self.execution
-        while True:
-            alive = self._alive()
-            if not alive:
-                break
-            runnable = [t for t in alive if self._is_runnable(t)]
-            if not runnable:
-                blocked = {
-                    t.tid for t in alive if t.status in ("run", "barrier")
-                }
-                ex.deadlocked = True
-                if raise_on_deadlock:
-                    raise DeadlockError(blocked, self.locks)
-                break
+        threads = self.threads
+        runnable = self.runnable
+
+        def pick() -> Optional[tuple]:
+            ready = sorted(tid for tid, rec in threads.items() if runnable(rec))
+            if not ready:
+                return None
             if ex.steps >= self.fuel:
                 raise StepLimitExceeded(self.fuel)
-            thread = self.rng.choice(sorted(runnable, key=lambda t: t.tid))
-            self._account_lock_time(alive)
-            self._step(thread)
-            ex.steps += 1
-        ex.memory = dict(self.memory)
-        self._flush_intervals()
+            return rng.choice(ready)
+
+        self._loop(pick)
+        if ex.deadlocked and raise_on_deadlock:
+            blocked = {rec[0] for rec in threads.values() if rec[2] != JOIN}
+            raise DeadlockError(blocked, self.locks)
         return ex
-
-    def _flush_intervals(self) -> None:
-        """Close still-open hold/blocked intervals at run end.
-
-        An interval open at termination (a lock held across a deadlock,
-        a thread still blocked) is recorded with ``open=True`` so the
-        timeline stays a complete account of the run.
-        """
-        steps = self.execution.steps
-        for lock, since in sorted(self._acquired_at.items()):
-            self.execution.lock_intervals.append(
-                {
-                    "kind": "held",
-                    "lock": lock,
-                    "tid": self.locks.get(lock, ()),
-                    "from": since,
-                    "to": steps,
-                    "open": True,
-                }
-            )
-        self._acquired_at.clear()
-        for (lock, tid), since in sorted(self._blocked_since.items()):
-            self.execution.lock_intervals.append(
-                {
-                    "kind": "blocked",
-                    "lock": lock,
-                    "tid": tid,
-                    "from": since,
-                    "to": steps,
-                    "open": True,
-                }
-            )
-        self._blocked_since.clear()
-
-    def _account_lock_time(self, alive: list[_Thread]) -> None:
-        ex = self.execution
-        tracer = self.tracer
-        for lock_name in self.locks:
-            ex.lock_held_steps[lock_name] = ex.lock_held_steps.get(lock_name, 0) + 1
-        for t in alive:
-            if t.status != "run":
-                continue
-            instr = self.program.instrs[t.pc]
-            if instr.op is Op.LOCK and self.locks.get(instr.name) is not None:
-                ex.lock_blocked_steps[instr.name] = (
-                    ex.lock_blocked_steps.get(instr.name, 0) + 1
-                )
-                self._blocked_since.setdefault((instr.name, t.tid), ex.steps)
-                if tracer.enabled:
-                    tracer.event(
-                        LockContention(
-                            ex.steps, instr.name, t.tid, self.locks[instr.name]
-                        )
-                    )
-                    tracer.counter(f"vm.lock_blocked_steps.{instr.name}").inc()
-
-    # -- execution ---------------------------------------------------------------
-
-    def _step(self, thread: _Thread) -> None:
-        instr = self.program.instrs[thread.pc]
-        op = instr.op
-        tracer = self.tracer
-        if self.hb is not None:
-            self.hb.on_step(thread.tid, thread.pc, instr)
-        if tracer.enabled:
-            steps = self.execution.steps
-            if self._last_tid is not None and self._last_tid != thread.tid:
-                tracer.event(ContextSwitch(steps, self._last_tid, thread.tid))
-                tracer.counter("vm.context_switches").inc()
-            self._last_tid = thread.tid
-            tracer.event(VMStep(steps, thread.tid, op.name))
-            tracer.counter("vm.steps").inc()
-        if op is Op.ASSIGN:
-            self.memory[instr.name] = self._eval(instr.expr)
-            thread.pc += 1
-        elif op is Op.PRINT:
-            values = tuple(self._eval(e) for e in instr.exprs)
-            self.execution.events.append(("print", values))
-            thread.pc += 1
-        elif op is Op.CALL:
-            values = tuple(self._eval(e) for e in instr.exprs)
-            self.execution.events.append(("call", instr.name, values))
-            thread.pc += 1
-        elif op is Op.LOCK:
-            if self.locks.get(instr.name) is not None:  # pragma: no cover
-                raise VMError("scheduled a blocked lock acquire")
-            self.locks[instr.name] = thread.tid
-            ex = self.execution
-            ex.lock_acquisitions[instr.name] = (
-                ex.lock_acquisitions.get(instr.name, 0) + 1
-            )
-            self._acquired_at[instr.name] = ex.steps
-            blocked_since = self._blocked_since.pop((instr.name, thread.tid), None)
-            if blocked_since is not None:
-                ex.lock_intervals.append(
-                    {
-                        "kind": "blocked",
-                        "lock": instr.name,
-                        "tid": thread.tid,
-                        "from": blocked_since,
-                        "to": ex.steps,
-                        "open": False,
-                    }
-                )
-            if tracer.enabled:
-                tracer.event(LockAcquire(ex.steps, instr.name, thread.tid))
-                tracer.counter(f"vm.lock_acquisitions.{instr.name}").inc()
-                if blocked_since is not None:
-                    tracer.event(
-                        LockBlockedInterval(
-                            instr.name, thread.tid, blocked_since, ex.steps
-                        )
-                    )
-            thread.pc += 1
-        elif op is Op.UNLOCK:
-            owner = self.locks.get(instr.name)
-            if owner != thread.tid:
-                raise VMError(
-                    f"unlock({instr.name}) by {thread.tid} but owner is {owner}"
-                )
-            del self.locks[instr.name]
-            ex = self.execution
-            acquired_at = self._acquired_at.pop(instr.name, 0)
-            ex.lock_intervals.append(
-                {
-                    "kind": "held",
-                    "lock": instr.name,
-                    "tid": thread.tid,
-                    "from": acquired_at,
-                    "to": ex.steps,
-                    "open": False,
-                }
-            )
-            if tracer.enabled:
-                held = ex.steps - acquired_at
-                tracer.event(LockRelease(ex.steps, instr.name, thread.tid, held))
-                tracer.event(
-                    LockHeldInterval(instr.name, thread.tid, acquired_at, ex.steps)
-                )
-                tracer.histogram(f"vm.lock_hold_steps.{instr.name}").observe(held)
-            thread.pc += 1
-        elif op is Op.SET:
-            self.events_set.add(instr.name)
-            thread.pc += 1
-        elif op is Op.WAIT:
-            if instr.name not in self.events_set:  # pragma: no cover
-                raise VMError("scheduled a blocked wait")
-            thread.pc += 1
-        elif op is Op.BARRIER:
-            waiting = [
-                t for t in self.threads.values()
-                if t.status == "barrier"
-                and self.program.instrs[t.pc].op is Op.BARRIER
-                and self.program.instrs[t.pc].name == instr.name
-            ]
-            if len(waiting) + 1 >= (instr.target or 1):
-                for other in waiting:
-                    other.status = "run"
-                    other.pc += 1
-                thread.pc += 1
-                if self.hb is not None:
-                    self.hb.on_barrier_release(
-                        instr.name, [t.tid for t in waiting] + [thread.tid]
-                    )
-            else:
-                thread.status = "barrier"
-        elif op is Op.JUMP:
-            thread.pc = instr.target
-        elif op is Op.BRANCH:
-            if self._eval(instr.expr) != 0:
-                thread.pc += 1
-            else:
-                thread.pc = instr.target
-        elif op is Op.COBEGIN:
-            thread.status = "join"
-            thread.pending = len(instr.entries)
-            thread.pc = instr.target
-            for i, entry in enumerate(instr.entries):
-                child = _Thread(thread.tid + (i,), entry)
-                self.threads[child.tid] = child
-            if self.hb is not None:
-                self.hb.on_spawn(
-                    thread.tid, tuple(thread.tid + (i,) for i in range(len(instr.entries)))
-                )
-        elif op is Op.END_THREAD:
-            thread.status = "done"
-            parent = self.threads[thread.tid[:-1]]
-            parent.pending -= 1
-            if parent.pending == 0:
-                parent.status = "run"
-            if self.hb is not None:
-                self.hb.on_thread_end(thread.tid, parent.tid)
-        elif op is Op.HALT:
-            thread.status = "done"
-        else:  # pragma: no cover - defensive
-            raise VMError(f"unknown instruction {instr!r}")
-
 
     def replay(self, schedule: list[tuple]) -> Execution:
         """Execute a fixed schedule (list of thread ids per step).
 
         Used together with :func:`repro.vm.explore.find_witness` to make
         a specific interleaving reproducible.  Raises :class:`VMError`
-        when the schedule names a thread that does not exist or is not
-        runnable at that step.
+        when the schedule names a thread that is not runnable (or does
+        not exist) at that step, and re-raises the :class:`VMError` of a
+        failing step.
         """
+        tids = iter(schedule)
+
+        def runnable_tid(tid) -> tuple:
+            rec = self.threads.get(tuple(tid))
+            if rec is None or not self.runnable(rec):
+                raise VMError(
+                    f"thread {tid!r} is not runnable at step {self.execution.steps}"
+                )
+            return rec[0]
+
+        def pick() -> Optional[tuple]:
+            tid = next(tids, None)
+            return None if tid is None else runnable_tid(tid)
+
+        self._loop(pick)
+        extra = next(tids, None)
+        if extra is not None:
+            runnable_tid(extra)  # every thread has finished: raises
+        return self.execution
+
+    def _loop(self, pick: Callable[[], Optional[tuple]]) -> None:
+        """Step the runnable thread ``pick`` names until every thread is
+        done or ``pick`` returns None; then close the execution, which
+        deadlocked if live threads remain and none can run."""
         ex = self.execution
-        for tid in schedule:
-            thread = self.threads.get(tuple(tid))
-            if thread is None:
-                raise VMError(f"schedule names unknown thread {tid!r}")
-            if not self._is_runnable(thread):
-                raise VMError(f"thread {tid!r} is not runnable at this step")
-            self._account_lock_time(self._alive())
-            self._step(thread)
+        threads = self.threads
+        while threads:
+            tid = pick()
+            if tid is None:
+                break
+            self._account_lock_time()
+            self._execute(tid)
             ex.steps += 1
-        ex.memory = dict(self.memory)
-        ex.deadlocked = bool(self._alive()) and not any(
-            self._is_runnable(t) for t in self._alive()
+        ex.deadlocked = bool(threads) and not any(
+            self.runnable(rec) for rec in threads.values()
         )
+        ex.memory = dict(self.memory)
         self._flush_intervals()
-        return ex
+
+    # -- instrumentation around the step ------------------------------------
+
+    def _execute(self, tid: tuple) -> None:
+        """:meth:`Machine.step` plus lock accounting, hooks and events."""
+        rec = self.threads[tid]
+        instr = self.instrs[rec[1]]
+        op = instr.op
+        hb = self.hb
+        tracer = self.tracer
+        if hb is not None:
+            hb.on_step(tid, rec[1], instr)
+            if op is Op.BARRIER:
+                waiting = [t for t, r in self.threads.items() if r[2] == BARRIER]
+        if tracer.enabled:
+            steps = self.execution.steps
+            if self._last_tid is not None and self._last_tid != tid:
+                tracer.event(ContextSwitch(steps, self._last_tid, tid))
+                tracer.counter("vm.context_switches").inc()
+            self._last_tid = tid
+            tracer.event(VMStep(steps, tid, op.name))
+            tracer.counter("vm.steps").inc()
+        event = self.step(tid)
+        if event is not None:
+            self.execution.events.append(event)
+        elif op is Op.LOCK:
+            self._on_acquire(instr.name, tid)
+        elif op is Op.UNLOCK:
+            self._on_release(instr.name, tid)
+        elif hb is not None and op is Op.COBEGIN:
+            hb.on_spawn(tid, tuple(tid + (i,) for i in range(len(instr.entries))))
+        elif hb is not None and op is Op.END_THREAD:
+            hb.on_thread_end(tid, tid[:-1])
+        elif hb is not None and op is Op.BARRIER and rec[2] == RUN:
+            # the step released the barrier: so did every waiter at it
+            released = [t for t in waiting if self.threads[t][2] == RUN]
+            hb.on_barrier_release(instr.name, released + [tid])
+
+    def _on_acquire(self, lock: str, tid: tuple) -> None:
+        ex = self.execution
+        ex.lock_acquisitions[lock] = ex.lock_acquisitions.get(lock, 0) + 1
+        self._acquired_at[lock] = ex.steps
+        blocked_since = self._blocked_since.pop((lock, tid), None)
+        if blocked_since is not None:
+            self._close_interval("blocked", lock, tid, blocked_since)
+        if self.tracer.enabled:
+            self.tracer.counter(f"vm.lock_acquisitions.{lock}").inc()
+
+    def _on_release(self, lock: str, tid: tuple) -> None:
+        acquired_at = self._acquired_at.pop(lock, 0)
+        self._close_interval("held", lock, tid, acquired_at)
+        if self.tracer.enabled:
+            held = self.execution.steps - acquired_at
+            self.tracer.histogram(f"vm.lock_hold_steps.{lock}").observe(held)
+
+    def _close_interval(
+        self, kind: str, lock: str, tid: tuple, since: int, open: bool = False
+    ) -> None:
+        """Record one held/blocked interval ending now, and trace it."""
+        steps = self.execution.steps
+        self.execution.lock_intervals.append(
+            {
+                "kind": kind,
+                "lock": lock,
+                "tid": tid,
+                "from": since,
+                "to": steps,
+                "open": open,
+            }
+        )
+        if self.tracer.enabled:
+            cls = LockHeldInterval if kind == "held" else LockBlockedInterval
+            self.tracer.event(cls(lock, tid, since, steps, open))
+
+    def _flush_intervals(self) -> None:
+        """Close still-open hold/blocked intervals at run end.
+
+        An interval open at termination (a lock held across a deadlock,
+        a thread still blocked) is recorded and traced with
+        ``open=True``, so the timeline is a complete account of the run.
+        """
+        for lock, since in sorted(self._acquired_at.items()):
+            self._close_interval("held", lock, self.locks.get(lock, ()), since, True)
+        self._acquired_at.clear()
+        for (lock, tid), since in sorted(self._blocked_since.items()):
+            self._close_interval("blocked", lock, tid, since, True)
+        self._blocked_since.clear()
+
+    def _account_lock_time(self) -> None:
+        ex = self.execution
+        tracer = self.tracer
+        for lock_name in self.locks:
+            ex.lock_held_steps[lock_name] = ex.lock_held_steps.get(lock_name, 0) + 1
+        for rec in self.threads.values():
+            if rec[2] != RUN:
+                continue
+            instr = self.instrs[rec[1]]
+            if instr.op is Op.LOCK and instr.name in self.locks:
+                ex.lock_blocked_steps[instr.name] = (
+                    ex.lock_blocked_steps.get(instr.name, 0) + 1
+                )
+                self._blocked_since.setdefault((instr.name, rec[0]), ex.steps)
+                if tracer.enabled:
+                    tracer.counter(f"vm.lock_blocked_steps.{instr.name}").inc()
 
 
 def run_random(

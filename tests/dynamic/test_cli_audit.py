@@ -109,13 +109,13 @@ class TestWitnessTrace:
         out = capsys.readouterr().out
         assert "replayed:" in out
         assert "80 70" in out
-        kinds = {
-            json.loads(line).get("kind")
-            for line in trace.read_text().splitlines()
-        }
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        kinds = {r.get("kind") for r in records}
         assert "vm-step" in kinds
-        assert "lock-acquire" in kinds
         assert "lock-held-interval" in kinds
+        metrics = next(r for r in records if r["type"] == "metrics")
+        assert metrics["counters"]["vm.lock_acquisitions.ledger"] == 2
+        assert metrics["histograms"]["vm.lock_hold_steps.ledger"]["count"] == 2
 
     def test_chrome_trace_has_lock_tracks(self, clean_file, tmp_path):
         trace = tmp_path / "w.json"

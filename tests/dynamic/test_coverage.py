@@ -1,4 +1,4 @@
-"""Schedule-coverage metrics (`ScheduleCoverage`, `coverage_of`)."""
+"""Schedule-coverage metrics (`ScheduleCoverage`) against the explorer."""
 
 from repro.api import front_end
 from repro.dynamic import ScheduleCoverage
@@ -58,10 +58,12 @@ class TestExplorationCoverageOf:
         result = explore(program)
         assert result.complete
         assert result.print_classes == 2  # prints 1 or 2
-        sampled = {
+        cov = ScheduleCoverage()
+        cov.sampled_outcomes = {
             run_random(program, seed=s).output_key() for s in range(24)
         }
-        cov = result.coverage_of(sampled)
-        assert cov["outcome_classes"] == 2
-        assert cov["sampled_hit"] == cov["sampled_classes"] == 2
-        assert cov["outcome_coverage"] == 1.0
+        cov.explored_outcomes = result.outcomes
+        assert cov.as_dict()["explored_outcome_classes"] == 2
+        assert cov.sampled_classes == len(cov.sampled_outcomes & result.outcomes) == 2
+        assert cov.sampled_print_classes == result.print_classes
+        assert cov.outcome_coverage == 1.0

@@ -84,7 +84,7 @@ class TestTraceFlag:
         ]) == 0
         text = out_file.read_text()
         assert "vm-step" in text
-        assert "lock-acquire" in text
+        assert "lock-held-interval" in text
 
     def test_trace_written_on_failing_exit(self, racy_file, tmp_path):
         """diagnose exits 1 but the trace must still land on disk."""

@@ -1,13 +1,8 @@
 """The instrumented stack: decision events match the stats objects,
-event sequences are deterministic, the VM emits runtime events, and the
-critical-section profile can be recomputed from a trace."""
+event sequences are deterministic, and the VM's runtime events and
+metrics restate its execution record."""
 
 from repro.obs.trace import Tracer, use_tracer
-from repro.report import (
-    critical_section_profile,
-    critical_section_profile_from_trace,
-    lock_profile_from_events,
-)
 from repro.session import Session
 from repro.vm.machine import run_random
 from tests.conftest import FIGURE1_SOURCE, FIGURE2_SOURCE, build
@@ -91,6 +86,22 @@ class TestPipelineEvents:
         assert span.attrs == {"warnings": 0, "races": 0}
 
 
+def _interval_records(tracer: Tracer) -> list[dict]:
+    """The traced held/blocked interval events, in the timeline's shape."""
+    return [
+        {
+            "kind": "held" if e.kind == "lock-held-interval" else "blocked",
+            "lock": e.lock,
+            "tid": e.tid,
+            "from": e.from_step,
+            "to": e.to_step,
+            "open": e.open,
+        }
+        for e in tracer.events()
+        if e.kind in ("lock-held-interval", "lock-blocked-interval")
+    ]
+
+
 class TestVMEvents:
     def test_step_events_match_execution(self):
         tracer = Tracer()
@@ -99,14 +110,18 @@ class TestVMEvents:
         steps = tracer.events_of_kind("vm-step")
         assert len(steps) == ex.steps
         assert [e.step for e in steps] == list(range(ex.steps))
-        acquires = tracer.events_of_kind("lock-acquire")
-        assert len(acquires) == sum(ex.lock_acquisitions.values()) == 2
-        releases = tracer.events_of_kind("lock-release")
-        assert sum(e.held_steps for e in releases) == sum(
-            ex.lock_held_steps.values()
-        )
-        contention = tracer.events_of_kind("lock-contention")
-        assert len(contention) == sum(ex.lock_blocked_steps.values())
+
+    def test_lock_metrics_match_execution(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            ex = run_random(build(FIGURE2_SOURCE), seed=3)
+        counters = tracer.metrics.counters
+        assert ex.lock_acquisitions == {"L": 2}
+        assert counters["vm.lock_acquisitions.L"].value == 2
+        hist = tracer.metrics.histograms["vm.lock_hold_steps.L"]
+        assert hist.summary()["total"] == ex.lock_held_steps["L"]
+        for lock, blocked in ex.lock_blocked_steps.items():
+            assert counters[f"vm.lock_blocked_steps.{lock}"].value == blocked
 
     def test_context_switches_recorded(self):
         tracer = Tracer()
@@ -125,35 +140,89 @@ class TestVMEvents:
         assert hist.summary()["count"] == 2
 
     def test_deadlocked_run_traces(self):
+        """The two intervals still open at the deadlock are traced too."""
         tracer = Tracer()
         with use_tracer(tracer):
-            ex = run_random(
-                build(DEADLOCK_SOURCE), seed=1, raise_on_deadlock=False
-            )
-        if ex.deadlocked:  # seed-dependent; both branches must trace
-            assert len(tracer.events_of_kind("lock-acquire")) >= 2
-        profile = lock_profile_from_events(tracer.events(), ex.steps)
-        assert profile["held"] == ex.lock_held_steps
-        assert profile["acquisitions"] == ex.lock_acquisitions
+            ex = run_random(build(DEADLOCK_SOURCE), seed=0, raise_on_deadlock=False)
+        assert ex.deadlocked
+        traced = _interval_records(tracer)
+        assert traced == ex.lock_intervals
+        assert sum(i["open"] for i in traced) == 2
+
+
+class TestLockIntervals:
+    """One trace record per lock fact: the interval events restate
+    ``Execution.lock_intervals`` exactly, open intervals included."""
+
+    def test_interval_events_restate_the_timeline(self):
+        for source in (FIGURE2_SOURCE, DEADLOCK_SOURCE):
+            for seed in range(6):
+                tracer = Tracer()
+                with use_tracer(tracer):
+                    ex = run_random(build(source), seed=seed, raise_on_deadlock=False)
+                assert _interval_records(tracer) == ex.lock_intervals, f"seed {seed}"
+
+
+def _profile_from_trace(intervals: list[dict], counters: dict) -> dict:
+    """The execution's three per-lock maps, rebuilt from a trace: held
+    steps from the held intervals (the VM stops accounting at the step
+    that ends a deadlocked run, hence the -1 for an open hold), blocked
+    steps and acquisitions from the metrics."""
+    held: dict[str, int] = {}
+    for i in intervals:
+        if i["kind"] == "lock-held-interval":
+            length = i["to_step"] - i["from_step"] - (1 if i["open"] else 0)
+            if length > 0:
+                held[i["lock"]] = held.get(i["lock"], 0) + length
+
+    def by_lock(prefix: str) -> dict[str, int]:
+        return {
+            name[len(prefix):]: value
+            for name, value in counters.items()
+            if name.startswith(prefix)
+        }
+
+    return {
+        "held": held,
+        "blocked": by_lock("vm.lock_blocked_steps."),
+        "acquisitions": by_lock("vm.lock_acquisitions."),
+    }
+
+
+def _traced_profile(source: str, seed: int) -> tuple[dict, object]:
+    tracer = Tracer()
+    with use_tracer(tracer):
+        ex = run_random(build(source), seed=seed, raise_on_deadlock=False)
+    intervals = [
+        e.as_dict() for e in tracer.events()
+        if e.kind in ("lock-held-interval", "lock-blocked-interval")
+    ]
+    counters = {n: c.value for n, c in tracer.metrics.counters.items()}
+    return _profile_from_trace(intervals, counters), ex
+
+
+def _counter_profile(ex) -> dict:
+    return {
+        "held": ex.lock_held_steps,
+        "blocked": ex.lock_blocked_steps,
+        "acquisitions": ex.lock_acquisitions,
+    }
 
 
 class TestProfileFromTrace:
+    """The interval events and the ``vm.lock_*`` metrics are a complete
+    account of the VM's per-lock counters."""
+
     def test_matches_counter_based_profile(self):
-        counters = critical_section_profile(build(FIGURE2_SOURCE))
-        from_trace = critical_section_profile_from_trace(build(FIGURE2_SOURCE))
-        assert counters == from_trace
+        for seed in range(8):
+            profile, ex = _traced_profile(FIGURE2_SOURCE, seed)
+            assert profile == _counter_profile(ex), f"seed {seed}"
 
     def test_matches_on_deadlocking_program(self):
         """Open holds at deadlock are accounted identically."""
         for seed in range(6):
-            tracer = Tracer()
-            with use_tracer(tracer):
-                ex = run_random(
-                    build(DEADLOCK_SOURCE), seed=seed, raise_on_deadlock=False
-                )
-            profile = lock_profile_from_events(tracer.events(), ex.steps)
-            assert profile["held"] == ex.lock_held_steps, f"seed {seed}"
-            assert profile["blocked"] == ex.lock_blocked_steps, f"seed {seed}"
+            profile, ex = _traced_profile(DEADLOCK_SOURCE, seed)
+            assert profile == _counter_profile(ex), f"seed {seed}"
 
     def test_profile_accepts_loaded_dicts(self, tmp_path):
         """The recompute works on a jsonl trace read back from disk."""
@@ -161,12 +230,17 @@ class TestProfileFromTrace:
 
         tracer = Tracer()
         with use_tracer(tracer):
-            ex = run_random(build(FIGURE2_SOURCE), seed=0)
+            ex = run_random(build(DEADLOCK_SOURCE), seed=0, raise_on_deadlock=False)
         path = tmp_path / "vm.jsonl"
         write_trace(tracer, str(path), "jsonl")
-        records = [r for r in load_jsonl(str(path)) if r["type"] == "event"]
-        profile = lock_profile_from_events(records, ex.steps)
-        assert profile["held"] == ex.lock_held_steps
+        records = load_jsonl(str(path))
+        intervals = [
+            r for r in records
+            if r.get("kind") in ("lock-held-interval", "lock-blocked-interval")
+        ]
+        metrics = next(r for r in records if r["type"] == "metrics")
+        profile = _profile_from_trace(intervals, metrics["counters"])
+        assert profile == _counter_profile(ex)
 
 
 class TestExploreSpans:

@@ -1,10 +1,16 @@
 """Property tests for the VM and the exhaustive explorer."""
 
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
+from repro.ir.lower import lower_program
+from repro.lang.parser import parse
 from repro.synth import GeneratorConfig, generate_program
+from repro.vm.compile import compile_program
 from repro.vm.explore import explore
 from repro.vm.machine import VirtualMachine, run_random
+from tests.vm.explore_oracle import oracle_explore
 
 _configs = st.builds(
     GeneratorConfig,
@@ -48,15 +54,15 @@ def test_mutual_exclusion_invariant(config, seed):
     live thread (checked by instrumenting the machine)."""
     program = generate_program(config)
     vm = VirtualMachine(program, seed=seed)
-    original_step = vm._step
+    original_step = vm.step
 
-    def checked_step(thread):
-        original_step(thread)
+    def checked_step(tid):
+        event = original_step(tid)
         for lock, owner in vm.locks.items():
-            assert owner in vm.threads
-            assert vm.threads[owner].status != "done"
+            assert owner in vm.threads  # finished threads are dropped
+        return event
 
-    vm._step = checked_step
+    vm.step = checked_step
     vm.run(raise_on_deadlock=False)
 
 
@@ -79,3 +85,33 @@ def test_race_free_generated_programs_never_deadlock(config):
     res = explore(program, max_states=100_000)
     if res.complete:
         assert not res.can_deadlock
+
+
+def _error_kind(outcomes) -> frozenset:
+    """Outcomes with error messages reduced to the marker (the oracle
+    words its error outcomes differently)."""
+    return frozenset(
+        tuple(("error",) if e[0] == "error" else e for e in o) for o in outcomes
+    )
+
+
+@given(_configs, st.sampled_from([50, 400, 100_000]))
+@settings(max_examples=40, deadline=None)
+def test_explore_matches_the_reference_transition_function(config, max_states):
+    """The explorer, stepping with the VM's transition function, visits
+    the same states and finds the same outcomes as the reference
+    explorer with its own copy of the semantics, truncated or not."""
+    program = compile_program(generate_program(config))
+    res = explore(program, max_states=max_states)
+    outcomes, states, complete = oracle_explore(program, max_states=max_states)
+    assert (res.states, res.complete) == (states, complete)
+    assert _error_kind(res.outcomes) == _error_kind(outcomes)
+
+
+def test_examples_match_the_reference_transition_function():
+    """The bundled examples add barriers, events and nested sections."""
+    for path in sorted(Path(__file__).resolve().parents[2].glob("examples/*.par")):
+        program = compile_program(lower_program(parse(path.read_text())))
+        res = explore(program)
+        outcomes, states, complete = oracle_explore(program)
+        assert (res.outcomes, res.states, res.complete) == (outcomes, states, complete)
