@@ -23,13 +23,15 @@ and compares:
 ``audit_source`` samples ``runs`` seeded schedules with a fresh
 :class:`~repro.dynamic.hb.HBTracker` each, optionally adds bounded
 exhaustive exploration as the coverage yardstick, verifies every
-witness by replaying it, and reports deterministic ``work.audit.*``
+witness by replay (one replay per maximal witness, whose prefixes are
+the other witnesses of its run), and reports deterministic ``work.audit.*``
 counters (:func:`repro.obs.prof.record_work`) so the benchmark gate
 covers the subsystem.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Optional
 
 from repro.cfg.conflicts import collect_access_sites, is_memory_access
@@ -41,6 +43,7 @@ from repro.obs.prof import record_work
 from repro.obs.trace import get_tracer
 from repro.dynamic.coverage import ScheduleCoverage
 from repro.dynamic.hb import DynamicRace, HBTracker
+from repro.vm.bytecode import VMProgram
 from repro.vm.compile import compile_program
 from repro.vm.explore import explore
 from repro.vm.machine import VirtualMachine
@@ -259,26 +262,22 @@ def audit_program(
         report.coverage.explored_states = result.states
         report.coverage.explore_complete = result.complete
 
-    # Witness verification: replaying the recorded schedule prefix on a
-    # fresh tracker must re-detect the same race at the same locations.
-    verified: set[tuple] = set()
-    for race in report.dynamic:
-        hb = HBTracker(compiled)
-        vm = VirtualMachine(compiled, functions=functions, hb=hb)
-        try:
-            vm.replay(list(race.witness))
-        except Exception:  # noqa: BLE001 - an unreplayable witness is a bug
-            continue
-        if race.pair_key() in {r.pair_key() for r in hb.races}:
-            verified.add(race.pair_key())
+    verified, replays, replay_steps = _verify_witnesses(
+        compiled, report.dynamic, functions
+    )
 
-    dynamic_vars = {race.var for race in report.dynamic}
+    first_race: dict[str, DynamicRace] = {}
+    for race in report.dynamic:
+        first_race.setdefault(race.var, race)
+    # Asked up to twice per unconfirmed race: once per (variable, block).
+    observable_only = functools.cache(
+        lambda var, block_id: _observable_only(graph, access_sites, var, block_id)
+    )
+
     static_vars = set()
     for static in static_races:
         static_vars.add(static.var)
-        match = next(
-            (r for r in report.dynamic if r.var == static.var), None
-        )
+        match = first_race.get(static.var)
         if match is not None:
             report.findings.append(
                 StaticRaceFinding(
@@ -292,8 +291,8 @@ def audit_program(
             continue
         scope = SCOPE_MONITORED
         if graph is not None and access_sites is not None and (
-            _observable_only(graph, access_sites, static.var, static.block_a)
-            or _observable_only(graph, access_sites, static.var, static.block_b)
+            observable_only(static.var, static.block_a)
+            or observable_only(static.var, static.block_b)
         ):
             scope = SCOPE_OBSERVABLE
         report.findings.append(StaticRaceFinding(static, UNCONFIRMED, scope))
@@ -308,8 +307,59 @@ def audit_program(
         dynamic_races=len(report.dynamic),
         static_races=len(static_races),
         confirmed=len(report.confirmed),
+        replays=replays,
+        replay_steps=replay_steps,
     )
     return report
+
+
+def _verify_witnesses(
+    compiled: VMProgram,
+    races: list[DynamicRace],
+    functions: Optional[Callable[[str, list[int]], int]],
+) -> tuple[set[tuple], int, int]:
+    """(pair keys of the races whose witness replay re-detects them,
+    replays run, steps replayed).
+
+    A witness is a prefix of the schedule of the run that found it, and
+    replay is deterministic, so one replay of each *maximal* witness
+    (one no other witness extends) stands for the replays of all its
+    prefixes.  A race is verified when that replay completes at least
+    ``len(race.witness)`` steps and first detects the race's
+    ``pair_key`` within them — exactly what replaying its own witness
+    on a fresh tracker would show.
+    """
+    witnesses = sorted({tuple(race.witness) for race in races})
+    # In sorted order a witness's extensions directly follow it, so the
+    # host of each witness is its successor's host when that successor
+    # extends it, and the witness itself otherwise.
+    host: dict[tuple, tuple] = {}
+    following: tuple = ()
+    for witness in reversed(witnesses):
+        extended = following[: len(witness)] == witness
+        host[witness] = host[following] if extended else witness
+        following = witness
+    guests: dict[tuple, list[DynamicRace]] = {}
+    for race in races:
+        guests.setdefault(host[tuple(race.witness)], []).append(race)
+
+    verified: set[tuple] = set()
+    steps = 0
+    for schedule, hosted in guests.items():
+        hb = HBTracker(compiled)
+        vm = VirtualMachine(compiled, functions=functions, hb=hb)
+        try:
+            vm.replay(list(schedule))
+        except Exception:  # noqa: BLE001 - an unreplayable step fails its races
+            pass
+        replayed = vm.execution.steps
+        steps += replayed
+        detected = {race.pair_key(): race.step_b for race in hb.races}
+        for race in hosted:
+            needed = len(race.witness)
+            if needed <= replayed and detected.get(race.pair_key(), needed) < needed:
+                verified.add(race.pair_key())
+    return verified, len(guests), steps
 
 
 def audit_source(

@@ -204,10 +204,11 @@ class HBTracker:
         if isinstance(program, ProgramIR):
             program = compile_program(program)
         self.program = program
-        #: pc → (reads tuple, write-or-None) for memory statements
-        self.accesses: list[tuple[tuple, Optional[str]]] = [
-            _instr_accesses(instr) for instr in program.instrs
-        ]
+        #: pc → (reads tuple, write-or-None) for memory statements,
+        #: built once per program and shared by its trackers
+        self.accesses: list[tuple[tuple, Optional[str]]] = program.derived(
+            "accesses", _program_accesses
+        )
         self.clocks: dict[tuple, VectorClock] = {(): VectorClock()}
         self.release_clock: dict[str, VectorClock] = {}
         self.event_clock: dict[str, VectorClock] = {}
@@ -225,7 +226,7 @@ class HBTracker:
         self.joins = 0
         self.tracer = get_tracer()
 
-    # -- clock maintenance (called from VirtualMachine._step) ---------------
+    # -- clock maintenance (called from VirtualMachine._execute) ------------
 
     def on_step(self, tid: tuple, pc: int, instr: Instr) -> None:
         """Advance ``tid``'s clock across one instruction.
@@ -395,6 +396,10 @@ class HBTracker:
             f"HBTracker(threads={len(self.clocks)}, races={len(self.races)}, "
             f"checks={self.checks})"
         )
+
+
+def _program_accesses(program: VMProgram) -> list[tuple[tuple, Optional[str]]]:
+    return [_instr_accesses(instr) for instr in program.instrs]
 
 
 def _instr_accesses(instr: Instr) -> tuple[tuple, Optional[str]]:

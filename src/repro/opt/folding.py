@@ -10,13 +10,21 @@ it.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Optional
 
 from repro.errors import VMError
 from repro.ir.expr import EBin, ECall, EConst, EUn, EVar, IRExpr
 from repro.opt.lattice import BOTTOM, TOP, ConstValue, LatticeValue
 
-__all__ = ["apply_binop", "apply_unop", "eval_expr", "eval_expr_concrete"]
+__all__ = [
+    "BINARY_OPS",
+    "UNARY_OPS",
+    "apply_binop",
+    "apply_unop",
+    "eval_expr",
+    "eval_expr_concrete",
+]
 
 
 def c_div(a: int, b: int) -> int:
@@ -34,10 +42,11 @@ def c_mod(a: int, b: int) -> int:
     return a - c_div(a, b) * b
 
 
-_BINOPS: dict[str, Callable[[int, int], int]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+#: the concrete meaning of each binary operator
+BINARY_OPS: dict[str, Callable[[int, int], int]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "/": c_div,
     "%": c_mod,
     "==": lambda a, b: int(a == b),
@@ -50,15 +59,16 @@ _BINOPS: dict[str, Callable[[int, int], int]] = {
     "||": lambda a, b: int(bool(a) or bool(b)),
 }
 
-_UNOPS: dict[str, Callable[[int], int]] = {
-    "-": lambda a: -a,
+#: the concrete meaning of each unary operator
+UNARY_OPS: dict[str, Callable[[int], int]] = {
+    "-": operator.neg,
     "!": lambda a: int(not a),
 }
 
 
 def apply_binop(op: str, a: int, b: int) -> int:
     """Concrete binary evaluation (shared with the VM)."""
-    fn = _BINOPS.get(op)
+    fn = BINARY_OPS.get(op)
     if fn is None:
         raise VMError(f"unknown binary operator {op!r}")
     return fn(a, b)
@@ -66,7 +76,7 @@ def apply_binop(op: str, a: int, b: int) -> int:
 
 def apply_unop(op: str, a: int) -> int:
     """Concrete unary evaluation (shared with the VM)."""
-    fn = _UNOPS.get(op)
+    fn = UNARY_OPS.get(op)
     if fn is None:
         raise VMError(f"unknown unary operator {op!r}")
     return fn(a)
@@ -142,7 +152,12 @@ def eval_expr_concrete(
     env: Callable[[str], int],
     call: Optional[Callable[[str, list[int]], int]] = None,
 ) -> int:
-    """Concrete evaluation (used by the VM); ``env`` maps names to ints."""
+    """Concrete evaluation; ``env`` maps names to ints.
+
+    The reference semantics of the VM: :func:`repro.vm.machine.compile_expr`
+    compiles an expression to a closure that must agree with this
+    function on every input, error messages included.
+    """
     if isinstance(expr, EConst):
         return expr.value
     if isinstance(expr, EVar):

@@ -9,7 +9,7 @@ segment ends with ``END_THREAD``.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.ir.expr import IRExpr
 
@@ -76,13 +76,37 @@ class Instr:
 
 
 class VMProgram:
-    """A compiled program: instruction array plus its entry PC."""
+    """A compiled program: instruction array plus its entry PC.
 
-    __slots__ = ("instrs", "entry")
+    Tables derived from the instructions (the machine's compiled
+    evaluators, the happens-before access map) are built once per
+    program by :meth:`derived`.  They hold closures, so pickling keeps
+    only the instructions and the entry PC.
+    """
+
+    __slots__ = ("instrs", "entry", "_derived")
 
     def __init__(self, instrs: list[Instr], entry: int = 0) -> None:
         self.instrs = instrs
         self.entry = entry
+        self._derived: dict[str, Any] = {}
+
+    def derived(self, key: str, build: Callable[["VMProgram"], Any]) -> Any:
+        """``build(self)``, computed on first request for ``key`` and
+        shared by every later caller."""
+        table = self._derived.get(key)
+        if table is None:
+            table = self._derived[key] = build(self)
+        return table
+
+    def __getstate__(self) -> tuple:
+        return None, {"instrs": self.instrs, "entry": self.entry}
+
+    def __setstate__(self, state: tuple) -> None:
+        slots = state[1]
+        self.instrs = slots["instrs"]
+        self.entry = slots["entry"]
+        self._derived = {}
 
     def __len__(self) -> int:
         return len(self.instrs)

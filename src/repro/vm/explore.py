@@ -13,8 +13,9 @@ program has exactly the same outcome set as the original — for every
 schedule, not just sampled ones.
 
 The explorer has no semantics of its own: it steps states with
-:meth:`repro.vm.machine.Machine.step`, the transition function the VM
-runs, and keys them by :meth:`~repro.vm.machine.Machine.snapshot`
+:meth:`repro.vm.machine.Machine.successor` (:meth:`~repro.vm.machine.Machine.step`,
+the transition function the VM runs, between decoding and re-encoding
+a snapshot), and keys them by :meth:`~repro.vm.machine.Machine.snapshot`
 (threads keyed by spawn path, zero-valued variables dropped).  Output
 produced so far is *not* part of the state: outcomes are composed from
 memoized suffixes.
@@ -75,9 +76,17 @@ class ExplorationResult:
         )
 
 
+_ON_STACK = object()
+_DONE = frozenset({()})
+_LIVELOCK = frozenset({(("livelock",),)})
+_TRUNCATED = frozenset({(("truncated",),)})
+
+
 class _Explorer:
     """Depth-first search over :meth:`Machine.snapshot` states, stepping
-    with :meth:`Machine.step`."""
+    with :meth:`Machine.successor`.  One memo holds both the finished
+    states and, under the ``_ON_STACK`` sentinel, the states on the DFS
+    path (a revisit of one is a livelock)."""
 
     def __init__(
         self,
@@ -86,9 +95,12 @@ class _Explorer:
         max_states: int,
     ) -> None:
         self.machine = Machine(program, functions)
+        self.successor = self.machine.successor
         self.max_states = max_states
-        self.memo: dict[tuple, frozenset] = {}
-        self.gray: set[tuple] = set()
+        #: state → its outcome set, or _ON_STACK while the DFS is inside it
+        self.memo: dict[tuple, object] = {}
+        #: states whose outcome set is memoized
+        self.states = 0
         self.truncated = False
 
     def runnable(self, state: tuple) -> list[tuple]:
@@ -100,31 +112,25 @@ class _Explorer:
         runnable = machine.runnable
         return [rec[0] for rec in state[0] if runnable(rec)]
 
-    def successor(self, state: tuple, tid: tuple) -> tuple[Optional[tuple], tuple]:
-        """Step ``tid`` from ``state``: (event or None, next state)."""
-        machine = self.machine
-        machine.load(state)
-        event = machine.step(tid)
-        return event, machine.snapshot()
-
     # -- DFS with memoized suffixes ---------------------------------------------
 
     def outcomes(self, state: tuple) -> frozenset:
-        cached = self.memo.get(state)
+        memo = self.memo
+        cached = memo.get(state)
         if cached is not None:
+            if cached is _ON_STACK:
+                return _LIVELOCK
             return cached
-        if state in self.gray:
-            return frozenset({(("livelock",),)})
         threads = state[0]
         if not threads:
-            result = frozenset({()})
-            self.memo[state] = result
-            return result
-        if len(self.memo) >= self.max_states:
+            memo[state] = _DONE
+            self.states += 1
+            return _DONE
+        if self.states >= self.max_states:
             self.truncated = True
-            return frozenset({(("truncated",),)})
+            return _TRUNCATED
 
-        self.gray.add(state)
+        memo[state] = _ON_STACK
         runnable = self.runnable(state)
         collected: set = set()
         if not runnable:
@@ -137,16 +143,17 @@ class _Explorer:
                     collected.add((("error", str(exc)),))
                     continue
                 suffixes = self.outcomes(next_state)
-                for suffix in suffixes:
-                    if event is None:
-                        collected.add(suffix)
-                    else:
-                        collected.add((event,) + suffix)
-        self.gray.remove(state)
+                if event is None:
+                    collected.update(suffixes)
+                else:
+                    collected.update((event,) + suffix for suffix in suffixes)
         result = frozenset(collected)
         # Do not memoize across a truncation (partial results poison).
-        if not self.truncated:
-            self.memo[state] = result
+        if self.truncated:
+            del memo[state]
+        else:
+            memo[state] = result
+            self.states += 1
         return result
 
 
@@ -245,17 +252,17 @@ def explore(
         with tracer.span("explore", max_states=max_states) as span:
             outcomes = explorer.outcomes(explorer.machine.snapshot())
             span.set(
-                states=len(explorer.memo),
+                states=explorer.states,
                 outcomes=len(outcomes),
                 complete=not explorer.truncated,
             )
     finally:
         sys.setrecursionlimit(old_limit)
     result = ExplorationResult(
-        outcomes, states=len(explorer.memo), complete=not explorer.truncated
+        outcomes, states=explorer.states, complete=not explorer.truncated
     )
     if tracer.enabled:
-        tracer.counter("explore.states").inc(len(explorer.memo))
+        tracer.counter("explore.states").inc(explorer.states)
         tracer.counter("explore.outcomes").inc(len(outcomes))
         tracer.counter("explore.print_classes").inc(result.print_classes)
     return result

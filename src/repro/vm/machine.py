@@ -3,7 +3,9 @@
 :class:`Machine` holds the state and :meth:`Machine.step`, the only
 code that executes an instruction.  :class:`VirtualMachine` drives it
 under a seeded random scheduler or a fixed schedule (replay), and
-:mod:`repro.vm.explore` drives it over canonical snapshots.
+:mod:`repro.vm.explore` drives it over canonical snapshots through
+:meth:`Machine.successor`.  Each program's expressions are compiled
+once into closures (:func:`compile_expr`).
 
 Semantics:
 
@@ -28,9 +30,12 @@ interval timeline.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from repro.errors import DeadlockError, StepLimitExceeded, VMError
+from repro.ir.expr import EBin, ECall, EConst, EUn, EVar, IRExpr
 from repro.ir.structured import ProgramIR
 from repro.obs.events import (
     ContextSwitch,
@@ -39,11 +44,21 @@ from repro.obs.events import (
     VMStep,
 )
 from repro.obs.trace import get_tracer
-from repro.opt.folding import eval_expr_concrete
+from repro.opt.folding import BINARY_OPS, UNARY_OPS, apply_binop, apply_unop
 from repro.vm.bytecode import Op, VMProgram
 from repro.vm.compile import compile_program
 
-__all__ = ["Execution", "Machine", "VirtualMachine", "default_functions", "run_random"]
+__all__ = [
+    "Execution",
+    "Machine",
+    "VirtualMachine",
+    "compile_expr",
+    "default_functions",
+    "run_random",
+]
+
+#: An expression compiled by :func:`compile_expr`: (memory, functions) → int.
+Evaluator = Callable[[dict, Callable[[str, list[int]], int]], int]
 
 
 def default_functions(name: str, args: list[int]) -> int:
@@ -57,6 +72,79 @@ def default_functions(name: str, args: list[int]) -> int:
     for i, a in enumerate(args):
         acc = acc * 31 + (i + 1) * a
     return acc % 1009 - 504
+
+
+def compile_expr(expr: IRExpr) -> Evaluator:
+    """``expr`` as a closure over (memory, function binding).
+
+    The closure has the semantics of
+    :func:`repro.opt.folding.eval_expr_concrete`, the reference the tests
+    hold it to: operands evaluate left to right with no short circuit,
+    unset variables read as 0, and a fault (division by zero, an unknown
+    operator) raises the same :class:`VMError` when the expression is
+    evaluated, never when it is compiled.
+    """
+    if isinstance(expr, EConst):
+        value = expr.value
+        return lambda memory, functions: value
+    if isinstance(expr, EVar):
+        name = expr.name
+        return lambda memory, functions: memory.get(name, 0)
+    if isinstance(expr, ECall):
+        func = expr.func
+        args = [compile_expr(arg) for arg in expr.args]
+        return lambda memory, functions: functions(
+            func, [arg(memory, functions) for arg in args]
+        )
+    if isinstance(expr, EUn):
+        op, operand = expr.op, compile_expr(expr.operand)
+        unop = UNARY_OPS.get(op)
+        if unop is None:
+            return lambda memory, functions: apply_unop(op, operand(memory, functions))
+        return lambda memory, functions: unop(operand(memory, functions))
+    if isinstance(expr, EBin):
+        op = expr.op
+        binop = BINARY_OPS.get(op)
+        leaves = _leaf(expr.left), _leaf(expr.right)
+        if binop is not None and None not in leaves:
+            (a, a0), (b, b0) = leaves
+            return lambda memory, functions: binop(
+                memory.get(a, a0), memory.get(b, b0)
+            )
+        left, right = compile_expr(expr.left), compile_expr(expr.right)
+        if binop is None:
+            return lambda memory, functions: apply_binop(
+                op, left(memory, functions), right(memory, functions)
+            )
+        return lambda memory, functions: binop(
+            left(memory, functions), right(memory, functions)
+        )
+    raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
+
+
+def _leaf(expr: IRExpr) -> Optional[tuple[Optional[str], int]]:
+    """A variable or constant operand as the memory read ``(key,
+    default)`` that yields it (a constant reads the key None, which
+    memory never holds); None for any other expression."""
+    if isinstance(expr, EVar):
+        return expr.name, 0
+    if isinstance(expr, EConst):
+        return None, expr.value
+    return None
+
+
+def _evaluators(program: VMProgram) -> list:
+    """Per pc: the compiled expression of an assignment or branch, the
+    compiled argument tuple of a print or call, else None."""
+    table: list = []
+    for instr in program.instrs:
+        if instr.op is Op.ASSIGN or instr.op is Op.BRANCH:
+            table.append(compile_expr(instr.expr))
+        elif instr.op is Op.PRINT or instr.op is Op.CALL:
+            table.append(tuple(compile_expr(e) for e in instr.exprs))
+        else:
+            table.append(None)
+    return table
 
 
 #: Thread status in a thread record ``[tid, pc, status, pending]``;
@@ -82,6 +170,11 @@ class Machine:
     ) -> None:
         self.program = program
         self.instrs = program.instrs
+        self.evaluators = program.derived("evaluators", _evaluators)
+        #: per pc, the :data:`WRITES` entry of its opcode
+        self.writes = program.derived(
+            "writes", lambda p: [WRITES[instr.op] for instr in p.instrs]
+        )
         self.functions = functions
         self.threads: dict[tuple, list] = {(): [(), program.entry, RUN, 0]}
         self.memory: dict[str, int] = {}
@@ -114,6 +207,32 @@ class Machine:
         self.locks = dict(locks)
         self.events_set = set(events)
 
+    def successor(self, state: tuple, tid: tuple) -> tuple[Optional[tuple], tuple]:
+        """Step ``tid`` from ``state``: (event or None, next snapshot).
+
+        The result equals :meth:`snapshot` after :meth:`load` and
+        :meth:`step`, but only the components :data:`WRITES` lists for
+        the opcode are re-encoded; the others are shared with ``state``.
+        The thread records keep their sorted order unless a ``cobegin``
+        adds some, and an assignment changes one memory entry.
+        """
+        self.load(state)
+        _, memory, locks, events = state
+        records = self.threads
+        pc = records[tid][1]
+        written = self.writes[pc]
+        event = self.step(tid)
+        return event, (
+            tuple(map(tuple, map(records.get, sorted(records))))
+            if written & SPAWN
+            else tuple(map(tuple, records.values())),
+            _assigned(memory, self.memory, self.instrs[pc].name)
+            if written & MEMORY
+            else memory,
+            tuple(sorted(self.locks.items())) if written & LOCKS else locks,
+            tuple(sorted(self.events_set)) if written & EVENTS else events,
+        )
+
     def runnable(self, rec) -> bool:
         """Can the thread with record ``rec`` take a step now?"""
         if rec[2] != RUN:
@@ -125,12 +244,6 @@ class Machine:
             return instr.name in self.events_set
         return True
 
-    def _env(self, name: str) -> int:
-        return self.memory.get(name, 0)
-
-    def _eval(self, expr) -> int:
-        return eval_expr_concrete(expr, self._env, self.functions)
-
     def step(self, tid: tuple) -> Optional[tuple]:
         """Execute one instruction of the runnable thread ``tid``.
 
@@ -139,17 +252,19 @@ class Machine:
         for an unlock by a thread that does not own the lock.
         """
         rec = self.threads[tid]
-        instr = self.instrs[rec[1]]
+        pc = rec[1]
+        instr = self.instrs[pc]
         op = instr.op
         event: Optional[tuple] = None
         if op is Op.ASSIGN:
-            self.memory[instr.name] = self._eval(instr.expr)
+            memory = self.memory
+            memory[instr.name] = self.evaluators[pc](memory, self.functions)
             rec[1] += 1
         elif op is Op.PRINT:
-            event = ("print", tuple(self._eval(e) for e in instr.exprs))
+            event = ("print", self._eval_args(pc))
             rec[1] += 1
         elif op is Op.CALL:
-            event = ("call", instr.name, tuple(self._eval(e) for e in instr.exprs))
+            event = ("call", instr.name, self._eval_args(pc))
             rec[1] += 1
         elif op is Op.LOCK:
             if instr.name in self.locks:  # pragma: no cover - defensive
@@ -184,7 +299,8 @@ class Machine:
         elif op is Op.JUMP:
             rec[1] = instr.target
         elif op is Op.BRANCH:
-            rec[1] = rec[1] + 1 if self._eval(instr.expr) != 0 else instr.target
+            taken = self.evaluators[pc](self.memory, self.functions) != 0
+            rec[1] = pc + 1 if taken else instr.target
         elif op is Op.COBEGIN:
             rec[1] = instr.target
             rec[2] = JOIN
@@ -203,6 +319,37 @@ class Machine:
         else:  # pragma: no cover - defensive
             raise VMError(f"unknown instruction {instr!r}")
         return event
+
+    def _eval_args(self, pc: int) -> tuple:
+        memory, functions = self.memory, self.functions
+        return tuple(arg(memory, functions) for arg in self.evaluators[pc])
+
+
+_NAME = itemgetter(0)
+
+
+def _assigned(encoded: tuple, memory: dict, name: str) -> tuple:
+    """The memory encoding ``encoded`` after an assignment to ``name``,
+    whose new value ``memory`` holds: one entry replaced, inserted or
+    (for 0) dropped, so the result stays sorted and zero-free."""
+    i = bisect_left(encoded, name, key=_NAME)
+    j = i + 1 if i < len(encoded) and encoded[i][0] == name else i
+    value = memory[name]
+    entry = ((name, value),) if value else ()
+    return encoded[:i] + entry + encoded[j:]
+
+#: The snapshot components an opcode's step can change besides the
+#: stepping thread's record (:meth:`Machine.successor` re-encodes only
+#: these); SPAWN marks the one step that adds thread records.
+MEMORY, LOCKS, EVENTS, SPAWN = 1, 2, 4, 8
+WRITES: dict[Op, int] = {
+    **{op: 0 for op in Op},
+    Op.ASSIGN: MEMORY,
+    Op.LOCK: LOCKS,
+    Op.UNLOCK: LOCKS,
+    Op.SET: EVENTS,
+    Op.COBEGIN: SPAWN,
+}
 
 
 class Execution:

@@ -4,13 +4,14 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import VMError
 from repro.ir.lower import lower_program
 from repro.lang.parser import parse
 from repro.synth import GeneratorConfig, generate_program
 from repro.vm.compile import compile_program
 from repro.vm.explore import explore
-from repro.vm.machine import VirtualMachine, run_random
-from tests.vm.explore_oracle import oracle_explore
+from repro.vm.machine import Machine, VirtualMachine, default_functions, run_random
+from tests.vm.explore_oracle import oracle_explore, oracle_transitions
 
 _configs = st.builds(
     GeneratorConfig,
@@ -106,6 +107,23 @@ def test_explore_matches_the_reference_transition_function(config, max_states):
     outcomes, states, complete = oracle_explore(program, max_states=max_states)
     assert (res.states, res.complete) == (states, complete)
     assert _error_kind(res.outcomes) == _error_kind(outcomes)
+    assert _successors_match_oracle(program, max_states) == states
+
+
+def _successors_match_oracle(program, max_states=200_000):
+    """``Machine.successor``, which re-encodes only the components an
+    opcode writes, gives the oracle's next state for every transition
+    the oracle explores."""
+    machine = Machine(program, default_functions)
+    transitions = oracle_transitions(program, max_states=max_states)
+    for state, moves in transitions.items():
+        for tid, event, next_state in moves:
+            try:
+                got = machine.successor(state, tid)
+            except VMError:
+                got = (("error",), None)
+            assert got == (event, next_state), (state, tid)
+    return len(transitions)
 
 
 def test_examples_match_the_reference_transition_function():
@@ -115,3 +133,4 @@ def test_examples_match_the_reference_transition_function():
         res = explore(program)
         outcomes, states, complete = oracle_explore(program)
         assert (res.outcomes, res.states, res.complete) == (outcomes, states, complete)
+        assert _successors_match_oracle(program) == states

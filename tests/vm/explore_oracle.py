@@ -19,7 +19,7 @@ from repro.opt.folding import eval_expr_concrete
 from repro.vm.bytecode import Op, VMProgram
 from repro.vm.machine import default_functions
 
-__all__ = ["oracle_explore"]
+__all__ = ["oracle_explore", "oracle_transitions"]
 
 
 class _OracleExplorer:
@@ -189,3 +189,27 @@ def oracle_explore(
     explorer = _OracleExplorer(program, functions or default_functions, max_states)
     outcomes = explorer.outcomes(explorer.initial_state())
     return outcomes, len(explorer.memo), not explorer.truncated
+
+
+def oracle_transitions(
+    program: VMProgram,
+    functions: Optional[Callable[[str, list[int]], int]] = None,
+    max_states: int = 200_000,
+) -> dict[tuple, list[tuple]]:
+    """Every state the oracle memoizes → its ``(tid, event, next_state)``
+    transitions, one per runnable thread; a failing step is
+    ``(tid, ("error",), None)``."""
+    explorer = _OracleExplorer(program, functions or default_functions, max_states)
+    explorer.outcomes(explorer.initial_state())
+    transitions = {}
+    for state in explorer.memo:
+        out = []
+        for index in explorer._runnable(state):
+            tid = state[0][index][0]
+            try:
+                event, next_state = explorer._step(state, index)
+            except VMError:
+                event, next_state = ("error",), None
+            out.append((tid, event, next_state))
+        transitions[state] = out
+    return transitions
