@@ -3,10 +3,11 @@
 *Access sites* are statement-position-precise records of every variable
 definition and use in the graph.  From them we derive:
 
-* the set of **shared variables** — accessed by two MHP sites, at least
-  one a write;
-* **conflict edges** (def→use ``DU`` and write-write ``DD``) between
-  concurrent blocks, as drawn in the paper's Figure 2;
+* the block-level **MHP access relation** (:class:`AccessRelation`),
+  which alone gives the set of **shared variables** (accessed by two
+  MHP sites, at least one a write), the **conflict edges** (def→use
+  ``DU`` and write-write ``DD``) between concurrent blocks, as drawn in
+  the paper's Figure 2, and the pairs Section 6 race detection filters;
 * **mutex edges** between ``Lock``/``Unlock`` nodes of the same lock in
   concurrent threads;
 * **directed sync edges** from ``set(e)`` to ``wait(e)``.
@@ -14,7 +15,6 @@ definition and use in the graph.  From them we derive:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterator, Optional
 
 from repro.cfg.blocks import BasicBlock, NodeKind
@@ -24,13 +24,13 @@ from repro.ir.expr import EVar
 from repro.ir.stmts import IRStmt, Phi, Pi, SAssign
 
 __all__ = [
+    "AccessRelation",
     "AccessSite",
     "ConcurrentSites",
     "PFGEdgeInputs",
     "add_conflict_edges",
     "add_mutex_edges",
     "add_sync_edges",
-    "capture_pfg_edges",
     "collect_access_sites",
     "is_memory_access",
     "shared_variables",
@@ -165,41 +165,97 @@ class ConcurrentSites:
         return found
 
 
+class AccessRelation:
+    """Definition 1's may-happen-in-parallel access relation, per
+    variable and at block granularity: the one place that decides which
+    memory accesses (see :func:`is_memory_access`) may conflict.
+
+    For each variable written somewhere:
+
+    * ``writes[var]``: the ids of the blocks writing it, ascending;
+    * ``concurrent[var][path]``: for the thread path of each write
+      block, the first write and the first read of ``var`` in each
+      block in parallel with it, as ``(block id, is write)`` in site
+      order (block id, then position).
+
+    MHP depends only on thread paths, so each concurrent list is found
+    once per (variable, path) and shared by the write blocks on that
+    path.  The relation holds only block ids, flags and thread paths:
+    it pickles with the graph, and later edits to the program do not
+    change it.  Shared variables, the PFG conflict edges and the
+    Section 6 races (:func:`repro.mutex.races.detect_races`) all read
+    it.
+    """
+
+    def __init__(self, graph: FlowGraph, sites: dict[str, list[AccessSite]]) -> None:
+        paths = self.paths = [block.thread_path for block in graph.blocks]
+        self.writes: dict[str, list[int]] = {}
+        self.concurrent: dict[str, dict[tuple, list[tuple[int, bool]]]] = {}
+        for var, var_sites in sites.items():
+            # Sites come in site order, so the first of each (block,
+            # role) keeps its place; a memory-access def is a real one.
+            accesses = list(
+                dict.fromkeys((s.block_id, s.is_def) for s in var_sites if is_memory_access(s))
+            )
+            writes = [b for b, is_def in accesses if is_def]
+            if not writes:
+                continue
+            concurrent: dict[tuple, list[tuple[int, bool]]] = {}
+            for w in writes:
+                path = paths[w]
+                if path not in concurrent:
+                    concurrent[path] = [
+                        a for a in accesses if thread_paths_diverge(path, paths[a[0]])
+                    ]
+            self.writes[var] = writes
+            self.concurrent[var] = concurrent
+
+    def pairs(self, var: str) -> Iterator[tuple[int, list[tuple[int, bool]]]]:
+        """``(write block, the accesses concurrent with it)`` for each
+        block writing ``var``, ascending."""
+        concurrent = self.concurrent[var]
+        for w in self.writes[var]:
+            yield w, concurrent[self.paths[w]]
+
+    def shared(self) -> set[str]:
+        """Variables with two MHP accesses, at least one of them a write."""
+        return {var for var, conc in self.concurrent.items() if any(conc.values())}
+
+    def _edges(self) -> Iterator[tuple[int, int, str, str]]:
+        for var in self.writes:
+            for d, accesses in self.pairs(var):
+                for b, is_def in accesses:
+                    if not is_def:
+                        yield d, b, var, "DU"
+                for b, is_def in accesses:
+                    if is_def and b > d:  # write-write pairs once
+                        yield d, b, var, "DD"
+
+    def conflict_edges(self) -> list[ConflictEdge]:
+        return [ConflictEdge(*edge) for edge in self._edges()]
+
+    def count_conflict_edges(self) -> int:
+        """``len(self.conflict_edges())`` without building the edges, for
+        the traced ``cssa`` record: building them only when tracing would
+        charge the ``cssa`` span for work untraced runs never do."""
+        return sum(1 for _ in self._edges())
+
+
 def shared_variables(
     graph: FlowGraph,
     sites: Optional[dict[str, list[AccessSite]]] = None,
 ) -> set[str]:
-    """Variables with two MHP accesses, at least one of them a write.
-
-    MHP depends only on thread paths, so the test runs over the
-    distinct paths of the variable's writes and accesses.
-    """
+    """Variables with two MHP accesses, at least one of them a write."""
     if sites is None:
         sites = collect_access_sites(graph)
-    shared: set[str] = set()
-    for var, all_accesses in sites.items():
-        def_paths: set[tuple] = set()
-        access_paths: set[tuple] = set()
-        for s in all_accesses:
-            if not is_memory_access(s):
-                continue
-            path = graph.blocks[s.block_id].thread_path
-            if s.is_real_def:
-                def_paths.add(path)
-            access_paths.add(path)
-        if any(
-            thread_paths_diverge(d, a) for d in def_paths for a in access_paths
-        ):
-            shared.add(var)
-    return shared
+    return AccessRelation(graph, sites).shared()
 
 
-class PFGEdgeInputs:
+class PFGEdgeInputs(AccessRelation):
     """What the PFG's conflict, mutex and sync edge lists derive from,
-    captured when the CSSA form is built: each block's thread path, per
-    shared variable the sorted ids of the blocks that define and read it
-    (memory accesses only), and ``(block id, name, thread path)`` of
-    every lock, unlock, set and wait node.
+    captured when the CSSA form is built: the access relation and
+    ``(block id, name, thread path)`` of every lock, unlock, set and
+    wait node.
 
     It holds no statement or access site, so later edits to the program
     do not change the lists, and it pickles with the graph.  Each method
@@ -208,20 +264,7 @@ class PFGEdgeInputs:
     """
 
     def __init__(self, graph: FlowGraph, sites: dict[str, list[AccessSite]]) -> None:
-        self.paths = [block.thread_path for block in graph.blocks]
-        self.access_blocks: dict[str, tuple[list[int], list[int]]] = {}
-        for var, all_accesses in sites.items():
-            def_blocks: set[int] = set()
-            use_blocks: set[int] = set()
-            for s in all_accesses:
-                if not is_memory_access(s):
-                    continue
-                if s.is_real_def:
-                    def_blocks.add(s.block_id)
-                elif not s.is_def:
-                    use_blocks.add(s.block_id)
-            if def_blocks:
-                self.access_blocks[var] = (sorted(def_blocks), sorted(use_blocks))
+        super().__init__(graph, sites)
 
         def nodes(kind: NodeKind, attr: str) -> list[tuple[int, str, tuple]]:
             return [
@@ -233,42 +276,6 @@ class PFGEdgeInputs:
         self.unlocks = nodes(NodeKind.UNLOCK, "lock_name")
         self.sets = nodes(NodeKind.SET, "event_name")
         self.waits = nodes(NodeKind.WAIT, "event_name")
-
-    def _concurrent(self) -> Iterator[tuple[str, int, list[int], list[int]]]:
-        """``(var, def block, concurrent use blocks, concurrent def
-        blocks)`` for every def block, in edge order."""
-        paths = self.paths
-        for var, (defs_sorted, uses_sorted) in self.access_blocks.items():
-            # MHP depends only on thread paths: find each def path's
-            # concurrent blocks once.
-            concurrent: dict[tuple, tuple[list[int], list[int]]] = {}
-            for d_id in defs_sorted:
-                path = paths[d_id]
-                if path not in concurrent:
-                    concurrent[path] = (
-                        [b for b in uses_sorted if thread_paths_diverge(path, paths[b])],
-                        [b for b in defs_sorted if thread_paths_diverge(path, paths[b])],
-                    )
-                yield (var, d_id, *concurrent[path])
-
-    def conflict_edges(self) -> list[ConflictEdge]:
-        edges: list[ConflictEdge] = []
-        for var, d_id, conc_uses, conc_defs in self._concurrent():
-            for u_id in conc_uses:
-                edges.append(ConflictEdge(d_id, u_id, var, "DU"))
-            for d2_id in conc_defs:
-                if d2_id > d_id:
-                    edges.append(ConflictEdge(d_id, d2_id, var, "DD"))
-        return edges
-
-    def count_conflict_edges(self) -> int:
-        """``len(self.conflict_edges())`` without building the edges, for
-        the traced ``cssa`` record: building them only when tracing would
-        charge the ``cssa`` span for work untraced runs never do."""
-        return sum(
-            len(conc_uses) + len(conc_defs) - bisect_right(conc_defs, d_id)
-            for _var, d_id, conc_uses, conc_defs in self._concurrent()
-        )
 
     def mutex_edges(self) -> list[MutexEdge]:
         return _paired_edges(self.locks, self.unlocks, MutexEdge)
@@ -284,12 +291,6 @@ def _paired_edges(sources: list[tuple], targets: list[tuple], edge: type) -> lis
         for dst, other, other_path in targets
         if other == name and thread_paths_diverge(path, other_path)
     ]
-
-
-def capture_pfg_edges(graph: FlowGraph, sites: dict[str, list[AccessSite]]) -> None:
-    """Make ``graph``'s conflict, mutex and sync edge lists be computed
-    on their first read, from :class:`PFGEdgeInputs` captured now."""
-    graph.set_edge_inputs(PFGEdgeInputs(graph, sites))
 
 
 def _blocks_concurrent_with(

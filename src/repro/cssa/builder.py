@@ -10,11 +10,7 @@ terms) is :func:`repro.cssame.builder.build_cssame`.
 from __future__ import annotations
 
 from repro.cfg.builder import build_flow_graph
-from repro.cfg.conflicts import (
-    capture_pfg_edges,
-    collect_access_sites,
-    shared_variables,
-)
+from repro.cfg.conflicts import PFGEdgeInputs, collect_access_sites
 from repro.cfg.graph import FlowGraph
 from repro.cssa.pi import place_pi_terms
 from repro.ir.stmts import Pi
@@ -67,13 +63,14 @@ def build_cssa(program: ProgramIR) -> CSSAForm:
     graph = build_flow_graph(program)
     ssa = build_ssa(program, graph)
     sites = collect_access_sites(graph)
-    shared = shared_variables(graph, sites)
+    edge_inputs = PFGEdgeInputs(graph, sites)
+    shared = edge_inputs.shared()
     pis = place_pi_terms(program, graph, sites, shared)
     # π placement moves each rewritten read to its π's control argument
     # in the same block and adds no real definition, so the block-level
     # conflict edges of the pre-π sites are those of the CSSA form.
     # Few callers read the edge lists, so each is built on first read.
-    capture_pfg_edges(graph, sites)
+    graph.set_edge_inputs(edge_inputs)
     from repro.obs.trace import get_tracer
 
     if get_tracer().enabled:

@@ -387,7 +387,6 @@ def audit_source(
     if static_races is None:
         static_races = detect_races(form.graph, form.structures)
     sites = collect_access_sites(form.graph)
-    conflict_vars = {edge.var for edge in form.graph.conflict_edges}
     return audit_program(
         session.front_end(source),
         static_races,
@@ -399,5 +398,5 @@ def audit_source(
         do_explore=do_explore,
         graph=form.graph,
         access_sites=sites,
-        conflict_vars=conflict_vars,
+        conflict_vars=form.shared,
     )

@@ -3,21 +3,18 @@
 "If modifications to a variable are not always protected by the same
 lock, the compiler will warn the user about a potential data race."
 
-For every shared variable we examine each pair of may-happen-in-parallel
-accesses with at least one write.  If the locksets held at the two
-accesses are disjoint, no common lock serializes them — a potential
-race.  (If they share a lock, the pair is serialized by mutual
-exclusion.)
+A race is a PFG conflict edge (Definition 1: two may-happen-in-parallel
+accesses to a shared variable, at least one a write) whose endpoints
+hold disjoint locksets and are not ordered by event or barrier
+synchronization.  :func:`detect_races` therefore filters the pairs of
+the block-level MHP access relation
+(:class:`repro.cfg.conflicts.AccessRelation`); it makes no MHP query of
+its own.
 """
 
 from __future__ import annotations
 
-from repro.cfg.concurrency import may_happen_in_parallel
-from repro.cfg.conflicts import (
-    collect_access_sites,
-    is_memory_access,
-    shared_variables,
-)
+from repro.cfg.conflicts import AccessRelation, collect_access_sites
 from repro.cfg.graph import FlowGraph
 from repro.mutex.lockset import compute_locksets
 from repro.mutex.structures import MutexStructure
@@ -50,8 +47,8 @@ class RaceReport:
     def message(self) -> str:
         return (
             f"potential {self.kind} race on '{self.var}': "
-            f"B{self.block_a} holds {set(self.locks_a) or '{}'} while "
-            f"B{self.block_b} holds {set(self.locks_b) or '{}'} (no common lock)"
+            f"B{self.block_a} holds {_render(self.locks_a)} while "
+            f"B{self.block_b} holds {_render(self.locks_b)} (no common lock)"
         )
 
     def key(self) -> tuple:
@@ -75,64 +72,52 @@ class RaceReport:
         return f"RaceReport({self.message()})"
 
 
+def _render(locks: frozenset[str]) -> str:
+    """A lockset as a set literal, sorted so the text does not depend
+    on the hash seed."""
+    return "{" + ", ".join(repr(lock) for lock in sorted(locks)) + "}"
+
+
 def detect_races(
     graph: FlowGraph,
     structures: dict[str, MutexStructure],
-    use_ordering: bool = True,
 ) -> list[RaceReport]:
     """Report every MHP conflicting access pair with disjoint locksets.
 
     Works on plain or CSSA-form graphs: SSA merge terms are ignored
-    (see :func:`repro.cfg.conflicts.is_memory_access`).  With
-    ``use_ordering`` (default), pairs serialized by event or one-shot
-    barrier synchronization — the must-happen-before relation of
-    :class:`repro.cssame.ordering.EventOrdering` — are not reported.
+    (see :func:`repro.cfg.conflicts.is_memory_access`).  Pairs
+    serialized by event or one-shot barrier synchronization (the
+    must-happen-before relation of
+    :class:`repro.cssame.ordering.EventOrdering`) are not reported.
+
+    Reports come per variable in name order, then per write block in
+    block order, then per concurrent access in site order: the order of
+    a scan over (write site, access site) pairs.  The relation is built
+    from the graph's current sites: π placement moves reads ahead of
+    their statements, so the relation captured with the CSSA form
+    would order the reports differently.
     """
+    from repro.cssame.ordering import EventOrdering
+
     locksets = compute_locksets(graph, structures)
-    sites = collect_access_sites(graph)
-    shared = shared_variables(graph, sites)
-
-    ordering = None
-    if use_ordering:
-        from repro.cssame.ordering import EventOrdering
-
-        candidate = EventOrdering(graph)
-        if candidate.set_nodes or candidate.barrier_nodes:
-            ordering = candidate
+    accesses = AccessRelation(graph, collect_access_sites(graph))
+    ordering = EventOrdering(graph)
+    ordered = ordering.must_precede if ordering.set_nodes or ordering.barrier_nodes else None
 
     reports: list[RaceReport] = []
-    seen: set[tuple[str, int, int, str]] = set()
-    for var in sorted(shared):
-        accesses = [s for s in sites.get(var, []) if is_memory_access(s)]
-        writes = [s for s in accesses if s.is_real_def]
-        for w in writes:
-            w_block = graph.blocks[w.block_id]
-            for other in accesses:
-                if other.stmt is w.stmt and other.is_def:
-                    continue
-                if not may_happen_in_parallel(w_block, graph.blocks[other.block_id]):
-                    continue
-                if locksets[w.block_id] & locksets[other.block_id]:
+    seen: set[tuple] = set()
+    for var in sorted(accesses.shared()):
+        for w, concurrent in accesses.pairs(var):
+            held = locksets[w]
+            for b, is_def in concurrent:
+                if not held.isdisjoint(locksets[b]):
                     continue  # serialized by a common lock
-                if ordering is not None and (
-                    ordering.must_precede(w.block_id, other.block_id)
-                    or ordering.must_precede(other.block_id, w.block_id)
-                ):
+                if ordered is not None and (ordered(w, b) or ordered(b, w)):
                     continue  # serialized by events/barriers
-                kind = "write-write" if other.is_def else "write-read"
-                a, b = sorted((w.block_id, other.block_id))
-                key = (var, a, b, kind)
-                if key in seen:
-                    continue
-                seen.add(key)
-                reports.append(
-                    RaceReport(
-                        var,
-                        w.block_id,
-                        other.block_id,
-                        kind,
-                        locksets[w.block_id],
-                        locksets[other.block_id],
-                    )
-                )
+                kind = "write-write" if is_def else "write-read"
+                report = RaceReport(var, w, b, kind, held, locksets[b])
+                key = report.key()
+                if key not in seen:
+                    seen.add(key)
+                    reports.append(report)
     return reports

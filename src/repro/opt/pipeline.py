@@ -108,9 +108,10 @@ def optimize(
                 tracer.event(PassStart(name))
             with tracer.span(f"pass:{name}") as span:
                 if name == "constprop":
-                    # The freshly built graph gives exact edge-executability
-                    # reasoning; after any transform it is stale and the
-                    # pass must fall back to chain-only propagation.
+                    # The form's graph and mutex structures fit the program
+                    # only until the first transform; after one, the pass
+                    # rebuilds the PFG from the current program (and runs
+                    # A.1 on it if it needs the mutex structures).
                     fresh = report.graph_is_fresh
                     report.constprop = concurrent_constant_propagation(
                         program,

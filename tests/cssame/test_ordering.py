@@ -168,24 +168,24 @@ class TestBarrierOrdering:
         )
         assert races == []
 
-    def test_ordering_opt_out(self):
-        from repro.cfg.builder import build_flow_graph as bfg
-        from repro.mutex.identify import identify_mutex_structures
+    def test_barrier_serialized_conflict_edge_is_no_race(self):
         from repro.mutex.races import detect_races
 
-        program = build(
-            """
-            cobegin
-            T0: begin data = 5; barrier(B); end
-            T1: begin barrier(B); out = data; end
-            coend
-            print(out);
-            """
+        form = build_cssame(
+            build(
+                """
+                cobegin
+                T0: begin data = 5; barrier(B); end
+                T1: begin barrier(B); out = data; end
+                coend
+                print(out);
+                """
+            ),
+            prune=False,
         )
-        g = bfg(program)
-        structures = identify_mutex_structures(g)
-        assert detect_races(g, structures, use_ordering=False)
-        assert detect_races(g, structures, use_ordering=True) == []
+        edges = {(edge.var, edge.kind) for edge in form.graph.conflict_edges}
+        assert ("data", "DU") in edges
+        assert detect_races(form.graph, form.structures) == []
 
 
 class TestPruning:

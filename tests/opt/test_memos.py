@@ -163,6 +163,10 @@ def test_shared_variables_and_conflict_edges_match_block_pairs(make):
     assert form.shared == _block_pair_shared(graph, sites)
     built = [(e.src_block, e.dst_block, e.var, e.kind) for e in graph.conflict_edges]
     assert built == _block_pair_edges(graph, sites)
+    # Audit takes the variables with a conflict edge from ``form.shared``.
+    pruned = build_cssame(make())
+    for each in (form, pruned):
+        assert each.shared == {e.var for e in each.graph.conflict_edges}
 
 
 def test_plain_pfg_shared_variables_match_block_pairs():
