@@ -6,8 +6,9 @@ Two signals, in priority order:
    deterministic — same input, same code → same counts on any machine.
    A counter that grows beyond a small tolerance is a real algorithmic
    regression (more lattice evaluations, more π arguments examined),
-   never timer noise.  Counters present only on one side are ignored:
-   adding or removing instrumentation is not a regression.
+   never timer noise.  A baseline counter missing from the current
+   record is a finding too (dropped instrumentation would otherwise
+   pass silently); a counter only the current record has is ignored.
 2. **Wall time (secondary).**  Noise-aware: the current median must
    exceed *both* ``baseline_median × (1 + wall_rel)`` *and*
    ``baseline_median + wall_iqr_mult × IQR`` (the larger IQR of the two
@@ -57,10 +58,18 @@ def _compare_counters(
 ) -> list[Regression]:
     found: list[Regression] = []
     for counter, base_value in sorted(baseline.items()):
+        if not isinstance(base_value, (int, float)):
+            continue
         cur_value = current.get(counter)
-        if cur_value is None or not isinstance(base_value, (int, float)):
-            continue  # instrumentation changed — not a regression
-        if base_value > 0 and cur_value > base_value * (1.0 + tolerance):
+        if cur_value is None:
+            found.append(
+                Regression(
+                    bench=name,
+                    kind="counter",
+                    detail=f"{counter} ({base_value} in the baseline) is missing",
+                )
+            )
+        elif base_value > 0 and cur_value > base_value * (1.0 + tolerance):
             found.append(
                 Regression(
                     bench=name,

@@ -87,9 +87,6 @@ class DominatorTree:
             stack.extend(self.children[node])
         return out
 
-    def walk_preorder(self) -> list[int]:
-        return self.dominated_by(self.root)
-
 
 def _iterative_idoms(
     n_blocks: int,

@@ -7,7 +7,7 @@ analyses (mutex-body exposure, LICM).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.errors import CFGError
 from repro.cfg.blocks import BasicBlock, NodeKind
@@ -171,9 +171,6 @@ class FlowGraph:
 
     def contains_stmt(self, stmt: IRStmt) -> bool:
         return stmt.uid in self.stmt_locations
-
-    def iter_blocks(self) -> Iterator[BasicBlock]:
-        return iter(self.blocks)
 
     def nodes_of_kind(self, kind: NodeKind) -> list[BasicBlock]:
         return [b for b in self.blocks if b.kind is kind]

@@ -17,15 +17,23 @@ body*:
 Only *real* definitions (plain assignments) generate or kill values; φ
 and π terms are bookkeeping.  Positions are statement-precise within
 blocks.
+
+:class:`MutexBodyOracle` is the one place that applies the two
+theorems: A.3 asks it about π conflict arguments, CSCC about the
+definitions concurrent with a φ it wants to store.
 """
 
 from __future__ import annotations
 
-from repro.cfg.graph import FlowGraph
-from repro.ir.stmts import SAssign
-from repro.mutex.structures import MutexBody
+from typing import Optional
 
-__all__ = ["BodyDataflow"]
+from repro.cfg.graph import FlowGraph
+from repro.errors import AnalysisError
+from repro.ir.stmts import IRStmt, SAssign
+from repro.mutex.structures import MutexBody, MutexStructure
+from repro.obs.events import REASON_DOES_NOT_REACH_EXIT, REASON_NOT_UPWARD_EXPOSED
+
+__all__ = ["BodyDataflow", "MutexBodyOracle"]
 
 
 class BodyDataflow:
@@ -130,3 +138,64 @@ class BodyDataflow:
         if defs_after:
             return False
         return block_id in self._exit_reachable(var)
+
+
+class MutexBodyOracle:
+    """Theorems 1 and 2 for the mutex bodies of one graph.
+
+    Caches one :class:`BodyDataflow` per body and Theorem 1's verdict
+    per (body, definition).  Both caches are keyed by object identity,
+    so an oracle belongs to one graph and its structures.
+    """
+
+    def __init__(self, graph: FlowGraph) -> None:
+        self.graph = graph
+        self._dataflow: dict[int, BodyDataflow] = {}
+        #: (body identity, def uid) → is the def killed inside that body?
+        self._killed: dict[tuple[int, int], bool] = {}
+
+    def dataflow(self, body: MutexBody) -> BodyDataflow:
+        cached = self._dataflow.get(id(body))
+        if cached is None:
+            cached = self._dataflow[id(body)] = BodyDataflow(self.graph, body)
+        return cached
+
+    def exposed(self, body: MutexBody, var: str, use: IRStmt) -> bool:
+        """Is a use of ``var`` at ``use``'s position upward-exposed from
+        ``body``?"""
+        block_id, index = self.graph.location_of(use)
+        return self.dataflow(body).upward_exposed(var, block_id, index)
+
+    def removal(
+        self,
+        definition: IRStmt,
+        structure: MutexStructure,
+        body: MutexBody,
+        exposed: bool,
+    ) -> Optional[str]:
+        """Which theorem stops ``definition`` from reaching a use in
+        ``body`` of ``structure`` (exposed from it or not), as a
+        ``REASON_*`` code; ``None`` when neither does.
+
+        The theorems apply only to a definition in *another* body of
+        the same structure: an unsynchronized one, or one in ``body``
+        itself (possible when the body spans a whole cobegin), is never
+        removed.
+        """
+        if not isinstance(definition, SAssign):
+            raise AnalysisError(f"not a real definition: {definition!r}")
+        def_block, def_index = self.graph.location_of(definition)
+        other = structure.body_of_block(def_block)
+        if other is None or other is body:
+            return None
+        if not exposed:
+            return REASON_NOT_UPWARD_EXPOSED
+        # Theorem 1 depends only on the definition and the body that
+        # holds it (a def under nested locks has one body per structure).
+        key = (id(other), definition.uid)
+        killed = self._killed.get(key)
+        if killed is None:
+            killed = self._killed[key] = not self.dataflow(other).reaches_exit(
+                definition.target, def_block, def_index
+            )
+        return REASON_DOES_NOT_REACH_EXIT if killed else None

@@ -14,25 +14,21 @@ argument (``chain(u)``), exactly as A.3 lines 21–25 prescribe.
 Theorem 1 depends only on the definition and Theorem 2 only on the use,
 so every π with the same conflict set, in the same body, whose use is
 equally exposed loses the same arguments: the theorems are applied once
-per such key and the πs share the resulting set.  The decision events
+per such key and the πs share the resulting set.  The per-argument
+decision is :class:`~repro.cssame.exposure.MutexBodyOracle`'s, which
+CSCC also asks before it stores a constant φ.  The decision events
 are still emitted per π and per argument, in π order.
 """
 
 from __future__ import annotations
 
 from repro.cfg.graph import FlowGraph
-from repro.cssame.exposure import BodyDataflow
-from repro.errors import AnalysisError
+from repro.cssame.exposure import MutexBodyOracle
 from repro.ir.expr import EVar
-from repro.ir.stmts import ConflictSet, Pi, SAssign
+from repro.ir.stmts import ConflictSet, Pi
 from repro.ir.structured import Body, ProgramIR, iter_statements, remove_stmt
 from repro.mutex.structures import MutexBody, MutexStructure
-from repro.obs.events import (
-    REASON_DOES_NOT_REACH_EXIT,
-    REASON_NOT_UPWARD_EXPOSED,
-    PiArgRemoved,
-    PiDeleted,
-)
+from repro.obs.events import PiArgRemoved, PiDeleted
 from repro.obs.trace import get_tracer
 from repro.ssa.chains import build_use_map
 
@@ -116,75 +112,33 @@ class _Rewrite:
     arguments."""
 
     def __init__(self, graph: FlowGraph) -> None:
-        self.graph = graph
-        self._dataflow: dict[int, BodyDataflow] = {}
-        #: (body identity, def uid) → is the def killed inside that body?
-        self._killed: dict[tuple, bool] = {}
-        #: (set, body identity, use not exposed, variable) → (kept set,
+        self.theorems = MutexBodyOracle(graph)
+        #: (set, body identity, use exposed, variable) → (kept set,
         #: removed (argument, reason) pairs)
         self._results: dict[tuple, tuple[ConflictSet, list]] = {}
-
-    def dataflow(self, body: MutexBody) -> BodyDataflow:
-        cached = self._dataflow.get(id(body))
-        if cached is None:
-            cached = self._dataflow[id(body)] = BodyDataflow(self.graph, body)
-        return cached
-
-    def _other_body(self, arg: EVar, body: MutexBody, structure: MutexStructure):
-        """The body of ``structure`` holding ``arg``'s definition, when
-        it is not ``body`` (else ``None``: the theorems do not apply)."""
-        def_site = arg.def_site
-        if not isinstance(def_site, SAssign):
-            raise AnalysisError(
-                f"π conflict argument without a real definition: {arg!r}"
-            )
-        def_block, _ = self.graph.location_of(def_site)
-        other = structure.body_of_block(def_block)
-        return None if other is body else other
 
     def result(
         self,
         cset: ConflictSet,
         body: MutexBody,
         structure: MutexStructure,
-        not_exposed: bool,
+        exposed: bool,
         var: str,
     ) -> tuple[ConflictSet, list]:
-        key = (cset, id(body), not_exposed, var)
+        key = (cset, id(body), exposed, var)
         found = self._results.get(key)
         if found is not None:
             return found
         kept: list[EVar] = []
         removed: list[tuple[EVar, str]] = []
         for arg in cset:
-            other = self._other_body(arg, body, structure)
-            if other is None:
-                # Unsynchronized definition, or a definition in the same
-                # body (possible when the body spans a whole cobegin):
-                # the theorems do not apply — keep the argument.
+            reason = self.theorems.removal(arg.def_site, structure, body, exposed)
+            if reason is None:
                 kept.append(arg)
-            elif not_exposed:
-                removed.append((arg, REASON_NOT_UPWARD_EXPOSED))
-            elif self._is_killed(arg, other, var):
-                removed.append((arg, REASON_DOES_NOT_REACH_EXIT))
             else:
-                kept.append(arg)
+                removed.append((arg, reason))
         found = self._results[key] = (ConflictSet.of(kept), removed)
         return found
-
-    def _is_killed(self, arg: EVar, other: MutexBody, var: str) -> bool:
-        # Theorem 1's condition depends only on the definition and the
-        # body it is judged against (a def under nested locks belongs to
-        # one body per structure).
-        def_site = arg.def_site
-        key = (id(other), def_site.uid)
-        killed = self._killed.get(key)
-        if killed is None:
-            def_block, def_index = self.graph.location_of(def_site)
-            killed = self._killed[key] = not self.dataflow(other).reaches_exit(
-                var, def_block, def_index
-            )
-        return killed
 
 
 def rewrite_pi_terms(
@@ -208,17 +162,15 @@ def rewrite_pi_terms(
                     if not isinstance(stmt, Pi):
                         continue
                     # Theorem 2's condition depends only on the use.
-                    use_block, use_index = graph.location_of(stmt)
-                    not_exposed = not rewrite.dataflow(body).upward_exposed(
-                        stmt.var_name, use_block, use_index
-                    )
+                    exposed = rewrite.theorems.exposed(body, stmt.var_name, stmt)
                     kept, removed = rewrite.result(
-                        stmt.conflict_set, body, structure, not_exposed, stmt.var_name
+                        stmt.conflict_set, body, structure, exposed, stmt.var_name
                     )
                     stmt.conflict_set = kept
                     stats.args_removed += len(removed)
-                    for arg, reason in removed:
-                        _record_removal(tracer, structure, stmt, arg, reason)
+                    if tracer.enabled:
+                        for arg, reason in removed:
+                            _record_removal(tracer, structure, stmt, arg, reason)
 
     for pi, nuses in delete_reduced_pis(program, graph, pis):
         stats.pis_deleted += 1

@@ -283,7 +283,7 @@ class _Transformer:
         self.fold_output_uses = fold_output_uses
         self._structures = structures
         self._concurrent = None
-        self._body_dataflow: dict[int, object] = {}
+        self._theorems = None
         #: conflict set → its members that may execute
         self._pruned_sets: dict[ConflictSet, ConflictSet] = {}
 
@@ -292,74 +292,49 @@ class _Transformer:
             self._structures = identify_mutex_structures(self.a.graph)
         return self._structures
 
-    def _dataflow(self, body):
-        from repro.cssame.exposure import BodyDataflow
-
-        cached = self._body_dataflow.get(id(body))
-        if cached is None:
-            cached = BodyDataflow(self.a.graph, body)
-            self._body_dataflow[id(body)] = cached
-        return cached
-
     def _phi_store_is_safe(self, phi: Phi) -> bool:
         """May a φ be materialized as a real assignment?
 
         A φ is a runtime no-op; turning it into ``v = c`` introduces a
         *store* to the shared base variable.  That is a pure no-op (the
         base already holds ``c``) only when no concurrent definition of
-        ``v`` can reach the φ point — the exact conditions of the
-        paper's Theorems 1 and 2, applied to a hypothetical use of
-        ``v`` at the φ's position:
-
-        * every may-happen-in-parallel real definition of ``v`` must sit
-          in another mutex body of a structure that also protects the
-          φ, and
-        * either the φ point is not upward-exposed from its body
-          (something inside the body redefines ``v`` first, Theorem 2)
-          or that definition never reaches its own body's exit
-          (Theorem 1).
+        ``v`` can reach the φ point: A.3 would remove every
+        may-happen-in-parallel real definition of ``v`` from a π placed
+        at the φ, through at least one structure whose body holds the
+        φ (Theorem 2 on the φ point or Theorem 1 on the definition).
 
         This is the Figure 4b situation (``a3 = 13`` inside T0's mutex
         body); anything weaker can overwrite a concurrent thread's
         value with the φ's control-flow constant.
         """
         from repro.cfg.conflicts import ConcurrentSites, collect_access_sites
+        from repro.cssame.exposure import MutexBodyOracle
 
         graph = self.a.graph
         if not graph.contains_stmt(phi):
             return False
-        block_id, index = graph.location_of(phi)
-        block = graph.blocks[block_id]
+        block = graph.block_of(phi)
         if self._concurrent is None:
             self._concurrent = ConcurrentSites(graph, collect_access_sites(graph))
-
+            self._theorems = MutexBodyOracle(graph)
         structures = self._mutex_structures()
-        my_bodies = {}  # lock name → body containing the φ
-        for lock_name, structure in structures.items():
-            body = structure.body_of_block(block_id)
-            if body is not None:
-                my_bodies[lock_name] = body
-
-        for site in self._concurrent.of(phi.target, block, real_defs=True):
-            # The concurrent def must be provably unable to reach here.
-            killed = False
-            for lock_name, my_body in my_bodies.items():
-                other = structures[lock_name].body_of_block(site.block_id)
-                if other is None or other is my_body:
-                    continue
-                if not self._dataflow(my_body).upward_exposed(
-                    phi.target, block_id, index
-                ):
-                    killed = True  # Theorem 2
-                    break
-                if not self._dataflow(other).reaches_exit(
-                    phi.target, site.block_id, site.index
-                ):
-                    killed = True  # Theorem 1
-                    break
-            if not killed:
-                return False
-        return True
+        sites = self._concurrent.of(phi.target, block, real_defs=True)
+        if not sites:
+            return True
+        theorems = self._theorems
+        holders = [
+            (structure, body, theorems.exposed(body, phi.target, phi))
+            for structure in structures.values()
+            for body in [structure.body_of_block(block.id)]
+            if body is not None
+        ]
+        return all(
+            any(
+                theorems.removal(site.stmt, structure, body, exposed) is not None
+                for structure, body, exposed in holders
+            )
+            for site in sites
+        )
 
     def run(self) -> None:
         self._rewrite_merge_terms()

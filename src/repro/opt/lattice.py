@@ -9,7 +9,7 @@ anything else collapses to ``BOTTOM``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 __all__ = ["BOTTOM", "TOP", "ConstValue", "LatticeValue", "meet", "meet_all"]
 
@@ -74,10 +74,3 @@ def meet_all(values: Iterable[LatticeValue]) -> LatticeValue:
         if result is BOTTOM:
             return BOTTOM
     return result
-
-
-def as_constant(value: LatticeValue) -> Optional[int]:
-    """The integer if ``value`` is a constant, else ``None``."""
-    if isinstance(value, ConstValue):
-        return value.value
-    return None

@@ -39,7 +39,7 @@ from repro.cfg.graph import FlowGraph
 from repro.ir.stmts import IRStmt, Pi, SAssign, SLock, SUnlock
 from repro.ir.structured import Body, ProgramIR, remove_stmt
 from repro.mutex.identify import identify_mutex_structures
-from repro.mutex.structures import MutexBody, MutexStructure
+from repro.mutex.structures import MutexBody
 
 __all__ = ["LICMStats", "lock_independent_code_motion"]
 
@@ -399,16 +399,10 @@ def _index_of(stmts: list[IRStmt], stmt: IRStmt) -> int:
     raise ValueError("statement not in block")  # pragma: no cover
 
 
-def lock_independent_code_motion(
-    program: ProgramIR,
-    graph: Optional[FlowGraph] = None,
-    structures: Optional[dict[str, MutexStructure]] = None,
-) -> LICMStats:
+def lock_independent_code_motion(program: ProgramIR) -> LICMStats:
     """Run LICM on ``program`` in place; returns motion statistics."""
-    if graph is None:
-        graph = build_flow_graph(program)
-    if structures is None:
-        structures = identify_mutex_structures(graph)
+    graph = build_flow_graph(program)
+    structures = identify_mutex_structures(graph)
     conflicts = _Conflicts(graph)
     stats = LICMStats()
     for _lock_name, structure in sorted(structures.items()):

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.cfg.builder import build_flow_graph
-from repro.cfg.graph import FlowGraph
 from repro.ir.expr import EBin, ECall, EConst, EUn, EVar, IRExpr
 from repro.ir.stmts import (
     IRStmt,
@@ -151,13 +150,9 @@ class _BlockTable:
         self.available.setdefault(key, stmt)
 
 
-def local_value_numbering(
-    program: ProgramIR,
-    graph: Optional[FlowGraph] = None,
-) -> LVNStats:
+def local_value_numbering(program: ProgramIR) -> LVNStats:
     """Run block-local value numbering on a CSSAME-form ``program``."""
-    if graph is None:
-        graph = build_flow_graph(program)
+    graph = build_flow_graph(program)
     stats = LVNStats()
 
     from repro.cfg.conflicts import ConcurrentSites, collect_access_sites

@@ -21,8 +21,6 @@ Cytron-style mark/sweep DCE adapted to explicitly parallel programs:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cfg.builder import build_flow_graph
 from repro.cfg.dominance import compute_postdominators, postdominance_frontiers
 from repro.cfg.graph import FlowGraph
@@ -213,14 +211,9 @@ def iter_statements_body(body: Body):
     return _iter_body(body, (), True)
 
 
-def parallel_dead_code_elimination(
-    program: ProgramIR,
-    graph: Optional[FlowGraph] = None,
-) -> PDCEStats:
+def parallel_dead_code_elimination(program: ProgramIR) -> PDCEStats:
     """Run PDCE on an SSA/CSSA/CSSAME-form ``program``, in place."""
-    if graph is None:
-        graph = build_flow_graph(program)
-    live, scanned = _mark_live(program, graph)
+    live, scanned = _mark_live(program, build_flow_graph(program))
     stats = PDCEStats()
     _Sweeper(live, stats).sweep_body(program.body)
     from repro.obs.trace import get_tracer

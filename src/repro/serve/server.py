@@ -28,7 +28,8 @@ One :class:`CompileServer` owns:
 
 Failure contract: *every* outcome of a request is a frame — a typed
 result or a typed error.  A worker exception becomes an ``E_INTERNAL``
-(or more specific taxonomy) frame, never a hung socket.
+(or more specific taxonomy) frame, never a hung socket, and a result
+whose frame would exceed ``MAX_FRAME_BYTES`` an ``E_PROTOCOL`` frame.
 """
 
 from __future__ import annotations
@@ -260,11 +261,33 @@ class CompileServer:
                 pass
 
     async def _send(self, writer: asyncio.StreamWriter, frame: dict) -> None:
+        await self._write(writer, encode_frame(frame))
+
+    async def _write(self, writer: asyncio.StreamWriter, data: bytes) -> None:
         try:
-            writer.write(encode_frame(frame))
+            writer.write(data)
             await writer.drain()
         except (ConnectionError, RuntimeError):  # pragma: no cover
             pass  # client vanished between compute and reply
+
+    async def _send_ok(
+        self, writer: asyncio.StreamWriter, request_id, result: dict, t0: float
+    ) -> None:
+        """Count and send an ok response.  A reply over the frame cap
+        becomes an ``E_PROTOCOL`` error frame instead: no client could
+        read it."""
+        elapsed_ms = (self._loop.time() - t0) * 1e3
+        data = encode_frame(ok_response(request_id, result, elapsed_ms))
+        if len(data) > MAX_FRAME_BYTES:
+            exc = ProtocolError(
+                f"reply of {len(data)} bytes exceeds the "
+                f"{MAX_FRAME_BYTES}-byte frame cap"
+            )
+            self._count(ok=False, exc=exc)
+            await self._send(writer, error_response(request_id, exc, elapsed_ms))
+            return
+        self._count(ok=True)
+        await self._write(writer, data)
 
     def _count(self, ok: bool, exc: Optional[BaseException] = None) -> None:
         self.metrics.counter("serve.requests").inc()
@@ -290,35 +313,13 @@ class CompileServer:
 
         kind = request["kind"]
         if kind == "ping":
-            self._count(ok=True)
-            await self._send(
-                writer,
-                ok_response(
-                    request_id,
-                    {"pong": True, "version": __version__},
-                    (self._loop.time() - t0) * 1e3,
-                ),
+            await self._send_ok(
+                writer, request_id, {"pong": True, "version": __version__}, t0
             )
         elif kind == "ops":
-            self._count(ok=True)
-            await self._send(
-                writer,
-                ok_response(
-                    request_id,
-                    self.ops_payload(),
-                    (self._loop.time() - t0) * 1e3,
-                ),
-            )
+            await self._send_ok(writer, request_id, self.ops_payload(), t0)
         elif kind == "shutdown":
-            self._count(ok=True)
-            await self._send(
-                writer,
-                ok_response(
-                    request_id,
-                    {"draining": True},
-                    (self._loop.time() - t0) * 1e3,
-                ),
-            )
+            await self._send_ok(writer, request_id, {"draining": True}, t0)
             self.request_drain()
         else:
             await self._handle_compile(request, writer, t0)
@@ -375,10 +376,10 @@ class CompileServer:
                 ),
             )
             return
-        elapsed_ms = (self._loop.time() - t0) * 1e3
-        self._count(ok=True)
-        self.metrics.histogram(f"serve.stage.{stage}.ms").observe(elapsed_ms)
-        await self._send(writer, ok_response(request_id, payload, elapsed_ms))
+        self.metrics.histogram(f"serve.stage.{stage}.ms").observe(
+            (self._loop.time() - t0) * 1e3
+        )
+        await self._send_ok(writer, request_id, payload, t0)
 
     def _work_finished(self, future) -> None:
         """Executor-future bookkeeping (runs on the event loop)."""

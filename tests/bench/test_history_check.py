@@ -67,9 +67,16 @@ class TestGate:
         assert compare_records(cur, base) == []
 
     def test_counter_shrink_and_new_counters_pass(self):
-        base = _record(counters={"work.p.ops": 100, "work.q.ops": 5})
+        base = _record(counters={"work.p.ops": 100})
         cur = _record(counters={"work.p.ops": 50, "work.r.ops": 999})
         assert compare_records(cur, base) == []
+
+    def test_missing_baseline_counter_fails(self):
+        base = _record(counters={"work.p.ops": 100, "work.q.ops": 5})
+        cur = _record(counters={"work.p.ops": 100})
+        regs = compare_records(cur, base)
+        assert len(regs) == 1 and regs[0].kind == "counter"
+        assert "work.q.ops" in regs[0].detail and "missing" in regs[0].detail
 
     def test_wall_needs_both_relative_and_iqr_excess(self):
         base = _record(wall={"median_ms": 10.0, "iqr_ms": 1.0})

@@ -14,6 +14,7 @@ import pytest
 from repro.errors import (
     E_INTERNAL,
     E_OVERLOADED,
+    E_PROTOCOL,
     E_SHUTDOWN,
     E_TIMEOUT,
     RemoteError,
@@ -51,6 +52,33 @@ class TestWorkerCrash:
         # The server survives its worker's crash.
         with server.client() as client:
             assert client.ping()["pong"] is True
+
+
+class TestOversizedReply:
+    def test_reply_over_the_frame_cap_is_a_protocol_error(
+        self, serve_factory, monkeypatch
+    ):
+        import repro.serve.server as server_module
+
+        cap = 4096
+        monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", cap)
+
+        def bulky(session, stage, source, options):
+            payload = _payload(stage)
+            payload["artifacts"] = {"listing": "x" * (2 * cap)}
+            return payload
+
+        server = serve_factory(worker=bulky)
+        with server.no_retry_client() as client:
+            response = client.request("a = 1;", "diagnostics")
+            assert response["ok"] is False
+            assert response["error"]["code"] == E_PROTOCOL
+            assert f"{cap}-byte frame cap" in response["error"]["message"]
+            # The connection stays usable.
+            assert client.ping()["pong"] is True
+            requests = client.ops()["requests"]
+        assert requests["errors"] == {E_PROTOCOL: 1}
+        assert requests["ok"] == 1  # the ping
 
 
 class TestDeadline:
