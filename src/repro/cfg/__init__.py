@@ -23,9 +23,6 @@ from repro.cfg.dominance import DominatorTree, compute_dominators, compute_postd
 from repro.cfg.concurrency import may_happen_in_parallel, thread_paths_diverge
 from repro.cfg.conflicts import (
     AccessSite,
-    add_conflict_edges,
-    add_mutex_edges,
-    add_sync_edges,
     collect_access_sites,
     shared_variables,
 )
@@ -40,9 +37,6 @@ __all__ = [
     "MutexEdge",
     "NodeKind",
     "SyncEdge",
-    "add_conflict_edges",
-    "add_mutex_edges",
-    "add_sync_edges",
     "build_flow_graph",
     "collect_access_sites",
     "compute_dominators",

@@ -20,9 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.cfg.blocks import BasicBlock
-from repro.cfg.graph import FlowGraph
 
-__all__ = ["may_happen_in_parallel", "thread_paths_diverge", "concurrent_blocks"]
+__all__ = ["may_happen_in_parallel", "thread_paths_diverge"]
 
 
 @lru_cache(maxsize=65536)
@@ -47,11 +46,3 @@ def may_happen_in_parallel(a: BasicBlock, b: BasicBlock) -> bool:
     """MHP on PFG nodes (structural, cobegin-based)."""
     return thread_paths_diverge(a.thread_path, b.thread_path)
 
-
-def concurrent_blocks(graph: FlowGraph, block: BasicBlock) -> list[BasicBlock]:
-    """All blocks that may happen in parallel with ``block``."""
-    return [
-        other
-        for other in graph.blocks
-        if other.id != block.id and may_happen_in_parallel(block, other)
-    ]

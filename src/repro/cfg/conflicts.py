@@ -3,9 +3,11 @@
 *Access sites* are statement-position-precise records of every variable
 definition and use in the graph.  From them we derive:
 
-* the block-level **MHP access relation** (:class:`AccessRelation`),
-  which alone gives the set of **shared variables** (accessed by two
-  MHP sites, at least one a write), the **conflict edges** (def→use
+* the **MHP access relation** (:class:`AccessRelation`), Definition 1's
+  one answer to "which memory accesses of ``v`` may happen in parallel
+  with this node": the sites π placement, CSCC, LVN and LICM ask for,
+  and at block granularity the set of **shared variables** (accessed by
+  two MHP sites, at least one a write), the **conflict edges** (def→use
   ``DU`` and write-write ``DD``) between concurrent blocks, as drawn in
   the paper's Figure 2, and the pairs Section 6 race detection filters;
 * **mutex edges** between ``Lock``/``Unlock`` nodes of the same lock in
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.cfg.blocks import BasicBlock, NodeKind
-from repro.cfg.concurrency import may_happen_in_parallel, thread_paths_diverge
+from repro.cfg.blocks import NodeKind
+from repro.cfg.concurrency import thread_paths_diverge
 from repro.cfg.graph import ConflictEdge, FlowGraph, MutexEdge, SyncEdge
 from repro.ir.expr import EVar
 from repro.ir.stmts import IRStmt, Phi, Pi, SAssign
@@ -26,11 +28,7 @@ from repro.ir.stmts import IRStmt, Phi, Pi, SAssign
 __all__ = [
     "AccessRelation",
     "AccessSite",
-    "ConcurrentSites",
     "PFGEdgeInputs",
-    "add_conflict_edges",
-    "add_mutex_edges",
-    "add_sync_edges",
     "collect_access_sites",
     "is_memory_access",
     "shared_variables",
@@ -123,80 +121,52 @@ def collect_access_sites(graph: FlowGraph) -> dict[str, list[AccessSite]]:
     return sites
 
 
-class ConcurrentSites:
-    """The access sites of a variable that may happen in parallel with
-    a block.
-
-    MHP depends on nothing but the two blocks' ``thread_path``s, and a
-    graph has only a handful of distinct paths, so each answer is
-    computed once per (variable, thread path) and shared by every block
-    on that path.  Sites come back in ``sites`` order, which
-    :func:`collect_access_sites` makes (block id, position) order, in a
-    list shared by every caller asking the same question: read it, do
-    not modify it.
-    """
-
-    __slots__ = ("graph", "sites", "_memo")
-
-    def __init__(
-        self, graph: FlowGraph, sites: dict[str, list[AccessSite]]
-    ) -> None:
-        self.graph = graph
-        self.sites = sites
-        self._memo: dict[tuple[str, tuple, bool], list[AccessSite]] = {}
-
-    def of(
-        self, var: str, block: BasicBlock, real_defs: bool = False
-    ) -> list[AccessSite]:
-        """Sites of ``var`` concurrent with ``block`` (only the real
-        definitions with ``real_defs``)."""
-        path = block.thread_path
-        key = (var, path, real_defs)
-        found = self._memo.get(key)
-        if found is None:
-            blocks = self.graph.blocks
-            found = [
-                site
-                for site in self.sites.get(var, ())
-                if (site.is_real_def or not real_defs)
-                and thread_paths_diverge(path, blocks[site.block_id].thread_path)
-            ]
-            self._memo[key] = found
-        return found
-
-
 class AccessRelation:
-    """Definition 1's may-happen-in-parallel access relation, per
-    variable and at block granularity: the one place that decides which
-    memory accesses (see :func:`is_memory_access`) may conflict.
+    """Definition 1's may-happen-in-parallel access relation: the one
+    place that decides which memory accesses (see
+    :func:`is_memory_access`) may conflict.
 
-    For each variable written somewhere:
-
-    * ``writes[var]``: the ids of the blocks writing it, ascending;
+    * :meth:`parallel` gives the memory-access sites of a variable in
+      the blocks that may happen in parallel with a thread path, in
+      site order (block id, then position); :meth:`parallel_defs` the
+      definitions among them, which are all real (``SAssign``) ones.
+      MHP depends only on thread paths and a graph has a handful of
+      them, so each answer is found once per (variable, path), in a
+      list shared by every caller: read it, do not modify it.
+    * ``writes[var]``: the ids of the blocks writing ``var``,
+      ascending, for each variable written somewhere;
     * ``concurrent[var][path]``: for the thread path of each write
       block, the first write and the first read of ``var`` in each
       block in parallel with it, as ``(block id, is write)`` in site
-      order (block id, then position).
+      order: the block-level view of ``parallel(var, path)``.
 
-    MHP depends only on thread paths, so each concurrent list is found
-    once per (variable, path) and shared by the write blocks on that
-    path.  The relation holds only block ids, flags and thread paths:
-    it pickles with the graph, and later edits to the program do not
-    change it.  Shared variables, the PFG conflict edges and the
-    Section 6 races (:func:`repro.mutex.races.detect_races`) all read
-    it.
+    Shared variables, the PFG conflict edges and the Section 6 races
+    (:func:`repro.mutex.races.detect_races`) read the block-level
+    lists; π placement, CSCC, LVN and LICM read the sites.  The block
+    lists are built up front and hold only ids, flags and thread paths:
+    they pickle, and later edits to the program do not change them.
+    The sites and their memo are left out of the pickled state and
+    :meth:`drop_sites` forgets them, after which the relation answers
+    only the block-level queries.
     """
+
+    #: the per-site state: left out of pickles, dropped by drop_sites
+    _SITE_STATE = ("sites", "_memo", "_masks")
 
     def __init__(self, graph: FlowGraph, sites: dict[str, list[AccessSite]]) -> None:
         paths = self.paths = [block.thread_path for block in graph.blocks]
+        self.sites = {
+            var: [s for s in var_sites if is_memory_access(s)]
+            for var, var_sites in sites.items()
+        }
+        self._memo: dict[tuple[str, tuple], tuple[list[AccessSite], list[AccessSite]]] = {}
+        #: thread path → per block, whether it may happen in parallel
+        self._masks: dict[tuple, list[bool]] = {}
         self.writes: dict[str, list[int]] = {}
         self.concurrent: dict[str, dict[tuple, list[tuple[int, bool]]]] = {}
-        for var, var_sites in sites.items():
-            # Sites come in site order, so the first of each (block,
-            # role) keeps its place; a memory-access def is a real one.
-            accesses = list(
-                dict.fromkeys((s.block_id, s.is_def) for s in var_sites if is_memory_access(s))
-            )
+        for var, var_sites in self.sites.items():
+            # The first of each (block, role), in site order.
+            accesses = list(dict.fromkeys((s.block_id, s.is_def) for s in var_sites))
             writes = [b for b, is_def in accesses if is_def]
             if not writes:
                 continue
@@ -204,11 +174,41 @@ class AccessRelation:
             for w in writes:
                 path = paths[w]
                 if path not in concurrent:
-                    concurrent[path] = [
-                        a for a in accesses if thread_paths_diverge(path, paths[a[0]])
-                    ]
+                    parallel = {site.block_id for site in self.parallel(var, path)}
+                    concurrent[path] = [a for a in accesses if a[0] in parallel]
             self.writes[var] = writes
             self.concurrent[var] = concurrent
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in self._SITE_STATE}
+
+    def drop_sites(self) -> None:
+        """Keep only the block-level lists, as an unpickled relation
+        does: a relation kept with a graph needs no more, and the sites
+        would hold every statement they name alive."""
+        self.__dict__ = self.__getstate__()
+
+    def _parallel(self, var: str, path: tuple) -> tuple[list[AccessSite], list[AccessSite]]:
+        key = (var, path)
+        found = self._memo.get(key)
+        if found is None:
+            mask = self._masks.get(path)
+            if mask is None:
+                mask = self._masks[path] = [
+                    thread_paths_diverge(path, other) for other in self.paths
+                ]
+            sites = [site for site in self.sites.get(var, ()) if mask[site.block_id]]
+            found = self._memo[key] = (sites, [site for site in sites if site.is_def])
+        return found
+
+    def parallel(self, var: str, path: tuple) -> list[AccessSite]:
+        """The memory-access sites of ``var`` in blocks that may happen
+        in parallel with thread path ``path``, in site order."""
+        return self._parallel(var, path)[0]
+
+    def parallel_defs(self, var: str, path: tuple) -> list[AccessSite]:
+        """The definitions among ``parallel(var, path)``."""
+        return self._parallel(var, path)[1]
 
     def pairs(self, var: str) -> Iterator[tuple[int, list[tuple[int, bool]]]]:
         """``(write block, the accesses concurrent with it)`` for each
@@ -257,10 +257,11 @@ class PFGEdgeInputs(AccessRelation):
     ``(block id, name, thread path)`` of every lock, unlock, set and
     wait node.
 
-    It holds no statement or access site, so later edits to the program
-    do not change the lists, and it pickles with the graph.  Each method
-    gives what the matching ``add_*_edges`` function gives on the graph
-    it was captured from.
+    The lists derive from the block-level relation and the node tuples,
+    which hold no statement or access site: later edits to the program
+    do not change them, and they pickle with the graph.  π placement
+    reads its conflict arguments from the same relation; the graph
+    keeps it after :meth:`~AccessRelation.drop_sites`.
     """
 
     def __init__(self, graph: FlowGraph, sites: dict[str, list[AccessSite]]) -> None:
@@ -291,90 +292,3 @@ def _paired_edges(sources: list[tuple], targets: list[tuple], edge: type) -> lis
         for dst, other, other_path in targets
         if other == name and thread_paths_diverge(path, other_path)
     ]
-
-
-def _blocks_concurrent_with(
-    graph: FlowGraph, path: tuple, block_ids: list[int]
-) -> list[int]:
-    return [
-        b for b in block_ids if thread_paths_diverge(path, graph.blocks[b].thread_path)
-    ]
-
-
-def add_conflict_edges(
-    graph: FlowGraph,
-    sites: Optional[dict[str, list[AccessSite]]] = None,
-) -> list[ConflictEdge]:
-    """Populate ``graph.conflict_edges`` (block granularity, deduped)."""
-    if sites is None:
-        sites = collect_access_sites(graph)
-    edges: list[ConflictEdge] = []
-    for var, all_accesses in sites.items():
-        # Edges are block-granular, so collapse sites to block-id sets
-        # first — the def × access product is then bounded by the block
-        # count, not the (much larger) site count.
-        def_blocks: set[int] = set()
-        use_blocks: set[int] = set()
-        for s in all_accesses:
-            if not is_memory_access(s):
-                continue
-            if s.is_real_def:
-                def_blocks.add(s.block_id)
-            elif not s.is_def:
-                use_blocks.add(s.block_id)
-        if not def_blocks:
-            continue
-        # MHP depends only on thread paths: find each def path's
-        # concurrent blocks once, then emit its defs' edges from them.
-        uses_sorted = sorted(use_blocks)
-        defs_sorted = sorted(def_blocks)
-        concurrent: dict[tuple, tuple[list[int], list[int]]] = {}
-        for d_id in defs_sorted:
-            path = graph.blocks[d_id].thread_path
-            if path not in concurrent:
-                concurrent[path] = (
-                    _blocks_concurrent_with(graph, path, uses_sorted),
-                    _blocks_concurrent_with(graph, path, defs_sorted),
-                )
-            conc_uses, conc_defs = concurrent[path]
-            for u_id in conc_uses:
-                edges.append(ConflictEdge(d_id, u_id, var, "DU"))
-            for d2_id in conc_defs:
-                if d2_id > d_id:  # emit write-write pairs once
-                    edges.append(ConflictEdge(d_id, d2_id, var, "DD"))
-    graph.conflict_edges = edges
-    return graph.conflict_edges
-
-
-def add_mutex_edges(graph: FlowGraph) -> list[MutexEdge]:
-    """Undirected mutex edges between concurrent Lock/Unlock nodes that
-    operate on the same lock variable (paper Definition 1)."""
-    locks = graph.nodes_of_kind(NodeKind.LOCK)
-    unlocks = graph.nodes_of_kind(NodeKind.UNLOCK)
-    edges: list[MutexEdge] = []
-    for ln in locks:
-        lock_name = ln.stmts[0].lock_name  # type: ignore[attr-defined]
-        for un in unlocks:
-            if un.stmts[0].lock_name != lock_name:  # type: ignore[attr-defined]
-                continue
-            if may_happen_in_parallel(ln, un):
-                edges.append(MutexEdge(ln.id, un.id, lock_name))
-    graph.mutex_edges = edges
-    return edges
-
-
-def add_sync_edges(graph: FlowGraph) -> list[SyncEdge]:
-    """Directed sync edges from every ``set(e)`` to every concurrent
-    ``wait(e)``."""
-    sets = graph.nodes_of_kind(NodeKind.SET)
-    waits = graph.nodes_of_kind(NodeKind.WAIT)
-    edges: list[SyncEdge] = []
-    for sn in sets:
-        event = sn.stmts[0].event_name  # type: ignore[attr-defined]
-        for wn in waits:
-            if wn.stmts[0].event_name != event:  # type: ignore[attr-defined]
-                continue
-            if may_happen_in_parallel(sn, wn):
-                edges.append(SyncEdge(sn.id, wn.id, event))
-    graph.sync_edges = edges
-    return edges

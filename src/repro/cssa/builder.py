@@ -62,10 +62,10 @@ def build_cssa(program: ProgramIR) -> CSSAForm:
     """Convert a non-SSA ``program`` (in place) to CSSA form."""
     graph = build_flow_graph(program)
     ssa = build_ssa(program, graph)
-    sites = collect_access_sites(graph)
-    edge_inputs = PFGEdgeInputs(graph, sites)
+    edge_inputs = PFGEdgeInputs(graph, collect_access_sites(graph))
     shared = edge_inputs.shared()
-    pis = place_pi_terms(program, graph, sites, shared)
+    pis = place_pi_terms(program, graph, edge_inputs)
+    edge_inputs.drop_sites()
     # π placement moves each rewritten read to its π's control argument
     # in the same block and adds no real definition, so the block-level
     # conflict edges of the pre-π sites are those of the CSSA form.

@@ -7,10 +7,12 @@ threads contain definitions of ``v`` that may reach it, a π term
 
 is inserted immediately before the statement and the statement's uses of
 ``v`` are rewritten to ``t``.  The control argument is the use's FUD
-chain; the conflict arguments are the SSA names of every *real*
-definition of ``v`` in blocks that may happen in parallel (φ/π defs are
-excluded, matching Figure 3a where ``ta4 = π(a4, a1, a2)`` lists the two
-real defs of ``a`` in T0 but not the φ ``a3``).
+chain; the conflict arguments are the SSA names of the definitions of
+``v`` that Definition 1's access relation puts in parallel with the use
+(:meth:`~repro.cfg.conflicts.AccessRelation.parallel_defs`).  φ/π defs
+are no memory accesses, so only real definitions count, matching Figure
+3a where ``ta4 = π(a4, a1, a2)`` lists the two real defs of ``a`` in T0
+but not the φ ``a3``.
 
 π terms are *not* placed on φ arguments: the coend φ already merges
 thread-exit values, and a π there would be redundant with the πs
@@ -25,12 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cfg.conflicts import (
-    AccessSite,
-    ConcurrentSites,
-    collect_access_sites,
-    shared_variables,
-)
+from repro.cfg.conflicts import AccessRelation, collect_access_sites
 from repro.cfg.graph import FlowGraph
 from repro.errors import SSAError
 from repro.ir.expr import EVar
@@ -82,21 +79,16 @@ def _structural_insert_before(
 def place_pi_terms(
     program: ProgramIR,
     graph: FlowGraph,
-    sites: Optional[dict[str, list[AccessSite]]] = None,
-    shared: Optional[set[str]] = None,
+    accesses: Optional[AccessRelation] = None,
 ) -> list[Pi]:
     """Insert π terms for every conflicting use; returns them.
 
-    ``sites`` and ``shared`` are the graph's access sites and shared
-    variables when the caller has already computed them.
+    ``accesses`` is the graph's access relation when the caller has
+    already built it.
     """
-    if sites is None:
-        sites = collect_access_sites(graph)
-    if shared is None:
-        shared = shared_variables(graph, sites)
-    # Real definitions of v concurrent with a block, in (block,
-    # position) order: computed once per (v, thread path).
-    concurrent = ConcurrentSites(graph, sites)
+    if accesses is None:
+        accesses = AccessRelation(graph, collect_access_sites(graph))
+    shared = accesses.shared()
     # The π conflict set of (v, thread path), built once and shared by
     # every π of v on that path.
     conflict_sets: dict[tuple[str, tuple], ConflictSet] = {}
@@ -124,10 +116,11 @@ def place_pi_terms(
             key = (var, block.thread_path)
             conflicts = conflict_sets.get(key)
             if conflicts is None:
-                # One real definition per statement: no duplicates to drop.
+                # The concurrent definitions in (block, position) order,
+                # one per statement: no duplicates to drop.
                 conflicts = conflict_sets[key] = ConflictSet.of(
                     EVar(var, d.stmt.version, d.stmt)
-                    for d in concurrent.of(var, block, real_defs=True)
+                    for d in accesses.parallel_defs(*key)
                 )
             if not conflicts:
                 continue

@@ -282,7 +282,7 @@ class _Transformer:
         self.stats = stats
         self.fold_output_uses = fold_output_uses
         self._structures = structures
-        self._concurrent = None
+        self._accesses = None
         self._theorems = None
         #: conflict set → its members that may execute
         self._pruned_sets: dict[ConflictSet, ConflictSet] = {}
@@ -307,18 +307,18 @@ class _Transformer:
         body); anything weaker can overwrite a concurrent thread's
         value with the φ's control-flow constant.
         """
-        from repro.cfg.conflicts import ConcurrentSites, collect_access_sites
+        from repro.cfg.conflicts import AccessRelation, collect_access_sites
         from repro.cssame.exposure import MutexBodyOracle
 
         graph = self.a.graph
         if not graph.contains_stmt(phi):
             return False
         block = graph.block_of(phi)
-        if self._concurrent is None:
-            self._concurrent = ConcurrentSites(graph, collect_access_sites(graph))
+        if self._accesses is None:
+            self._accesses = AccessRelation(graph, collect_access_sites(graph))
             self._theorems = MutexBodyOracle(graph)
         structures = self._mutex_structures()
-        sites = self._concurrent.of(phi.target, block, real_defs=True)
+        sites = self._accesses.parallel_defs(phi.target, block.thread_path)
         if not sites:
             return True
         theorems = self._theorems

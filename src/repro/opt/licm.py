@@ -34,7 +34,7 @@ from typing import Optional
 
 from repro.cfg.blocks import BasicBlock, NodeKind
 from repro.cfg.builder import build_flow_graph
-from repro.cfg.conflicts import ConcurrentSites, collect_access_sites
+from repro.cfg.conflicts import AccessRelation, collect_access_sites
 from repro.cfg.graph import FlowGraph
 from repro.ir.stmts import IRStmt, Pi, SAssign, SLock, SUnlock
 from repro.ir.structured import Body, ProgramIR, remove_stmt
@@ -65,21 +65,15 @@ class LICMStats:
 
 
 class _Conflicts:
-    """MHP conflict queries over base variable names."""
+    """Definition 5, asked against Definition 1's access relation."""
 
     def __init__(self, graph: FlowGraph) -> None:
-        # Collected once, before any motion: the answers are per
-        # (variable, thread path) and motion never changes a path.
-        self.concurrent = ConcurrentSites(graph, collect_access_sites(graph))
+        # Built once, before any motion: the answers are per (variable,
+        # thread path) and motion never changes a path.
+        self.accesses = AccessRelation(graph, collect_access_sites(graph))
         #: Definition 5 checks performed — LICM's deterministic work
         #: measure (see repro.obs.prof)
         self.independence_checks = 0
-
-    def has_concurrent_write(self, var: str, block: BasicBlock) -> bool:
-        return bool(self.concurrent.of(var, block, real_defs=True))
-
-    def has_concurrent_access(self, var: str, block: BasicBlock) -> bool:
-        return bool(self.concurrent.of(var, block))
 
     def lock_independent(self, stmt: IRStmt, block: BasicBlock) -> bool:
         """Definition 5, conservatively: no concurrent write to anything
@@ -93,13 +87,12 @@ class _Conflicts:
 
     def accesses_independent(self, stmt: IRStmt, block: BasicBlock) -> bool:
         """The Definition 5 access conditions alone (any stmt kind)."""
+        path = block.thread_path
         for name in _used_vars(stmt):
-            if self.has_concurrent_write(name, block):
+            if self.accesses.parallel_defs(name, path):
                 return False
         target = stmt.def_name()
-        if target is not None and self.has_concurrent_access(target, block):
-            return False
-        return True
+        return target is None or not self.accesses.parallel(target, path)
 
 
 def _contains_call(expr) -> bool:

