@@ -26,7 +26,10 @@ exhaustive exploration as the coverage yardstick, verifies every
 witness by replay (one replay per maximal witness, whose prefixes are
 the other witnesses of its run), and reports deterministic ``work.audit.*``
 counters (:func:`repro.obs.prof.record_work`) so the benchmark gate
-covers the subsystem.
+covers the subsystem.  A sampled schedule whose step faults (division
+by zero, an unowned unlock) ends with an ``("error", msg)`` outcome, as
+an explored one does; the races and orderings it found before the fault
+count.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import functools
 from typing import Callable, Iterable, Optional
 
 from repro.cfg.conflicts import collect_access_sites, is_memory_access
-from repro.errors import StepLimitExceeded
+from repro.errors import StepLimitExceeded, VMError
 from repro.ir.stmts import Pi, SCallStmt, SPrint
 from repro.ir.structured import ProgramIR
 from repro.mutex.races import RaceReport, detect_races
@@ -243,10 +246,17 @@ def audit_program(
                 execution = vm.run(raise_on_deadlock=False)
             except StepLimitExceeded:
                 continue  # fuel-bounded run: no outcome to record
+            except VMError as exc:
+                # A faulting step ends the run, as it ends an explored
+                # schedule: its outcome carries the error marker.
+                execution = vm.execution
+                outcome = execution.output_key() + (("error", str(exc)),)
+            else:
+                outcome = execution.output_key()
             report.coverage.runs += 1
             if execution.deadlocked:
                 report.coverage.deadlock_runs += 1
-            report.coverage.sampled_outcomes.add(execution.output_key())
+            report.coverage.sampled_outcomes.add(outcome)
             hb.merge_orderings(report.coverage.orderings)
             for race in hb.races:
                 dynamic.setdefault(race.pair_key(), race)

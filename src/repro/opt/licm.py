@@ -294,24 +294,27 @@ class _RegionMotion:
             return  # lock/unlock not structural siblings: stay put
         anchor_block = self.graph.blocks[body.lock_node]
 
+        # A moved region swaps places with the lock or unlock it passes,
+        # so both positions are tracked, not searched for.
+        items = lock_body.items
+        idx = lock_body.index(lock_stmt)
+        uidx = lock_body.index(unlock_stmt)
         changed = True
         while changed:
             changed = False
-            idx = lock_body.index(lock_stmt)
-            if idx + 1 < len(lock_body):
-                item = lock_body.items[idx + 1]
+            if idx + 1 < len(items):
+                item = items[idx + 1]
                 if item is not unlock_stmt and self._movable(item, anchor_block):
-                    lock_body.remove(item)
-                    lock_body.insert_before(lock_stmt, item)
+                    items[idx], items[idx + 1] = item, lock_stmt
+                    idx += 1
                     self.stats.hoisted += 1
                     changed = True
                     continue
-            uidx = lock_body.index(unlock_stmt)
             if uidx > 0:
-                item = lock_body.items[uidx - 1]
+                item = items[uidx - 1]
                 if item is not lock_stmt and self._movable(item, anchor_block):
-                    lock_body.remove(item)
-                    lock_body.insert_after(unlock_stmt, item)
+                    items[uidx - 1], items[uidx] = unlock_stmt, item
+                    uidx -= 1
                     self.stats.sunk += 1
                     changed = True
 

@@ -132,27 +132,38 @@ class _Sweeper:
         self.stats = stats
 
     def sweep_body(self, body: Body) -> None:
+        """Sweep ``body`` and the regions in it; the dead items of
+        ``body`` itself leave in one pass at the end."""
+        dead = []
         for item in list(body.items):
             if isinstance(item, IRStmt):
-                self._sweep_stmt(item)
+                is_dead = self._dead_stmt(item)
             elif isinstance(item, IfRegion):
-                self._sweep_if(body, item)
+                is_dead = self._dead_if(item)
             elif isinstance(item, WhileRegion):
-                self._sweep_while(body, item)
+                is_dead = self._dead_while(item)
             elif isinstance(item, CobeginRegion):
-                self._sweep_cobegin(body, item)
+                is_dead = self._dead_cobegin(body, item)
+            else:
+                is_dead = False
+            if is_dead:
+                dead.append(item)
+        if dead:
+            body.remove_all(dead)
 
-    def _sweep_stmt(self, stmt: IRStmt) -> None:
+    def _dead_stmt(self, stmt: IRStmt) -> bool:
+        """Is ``stmt`` removable?  Counts it if so."""
         if stmt in self.live:
-            return
+            return False
         if isinstance(stmt, (SAssign, Phi, Pi, SSkip)):
-            remove_stmt(stmt)
             if isinstance(stmt, Phi):
                 self.stats.phis_removed += 1
             elif isinstance(stmt, Pi):
                 self.stats.pis_removed += 1
             else:
                 self.stats.stmts_removed += 1
+            return True
+        return False
 
     def _assert_no_live(self, body: Body) -> None:
         for stmt, _ctx in iter_statements_body(body):
@@ -161,47 +172,48 @@ class _Sweeper:
                     "live statement inside a region with a dead branch"
                 )
 
-    def _sweep_if(self, body: Body, region: IfRegion) -> None:
+    def _dead_if(self, region: IfRegion) -> bool:
         if region.branch in self.live:
             self.sweep_body(region.then_body)
             self.sweep_body(region.else_body)
-            return
+            return False
         self._assert_no_live(region.then_body)
         self._assert_no_live(region.else_body)
-        body.remove(region)
         self.stats.regions_removed += 1
+        return True
 
-    def _sweep_while(self, body: Body, region: WhileRegion) -> None:
+    def _dead_while(self, region: WhileRegion) -> bool:
         if region.branch in self.live:
             for header in list(region.header_phis):
-                self._sweep_stmt(header)
+                if self._dead_stmt(header):
+                    remove_stmt(header)
             self.sweep_body(region.body)
-            return
+            return False
         self._assert_no_live(region.body)
         for header in list(region.header_phis):
             if header in self.live:
                 raise TransformError("live loop-header term in a dead loop")
-        body.remove(region)
         self.stats.regions_removed += 1
+        return True
 
-    def _sweep_cobegin(self, body: Body, region: CobeginRegion) -> None:
+    def _dead_cobegin(self, body: Body, region: CobeginRegion) -> bool:
         for thread in region.threads:
             self.sweep_body(thread.body)
         surviving = [t for t in region.threads if len(t.body) > 0]
         removed = len(region.threads) - len(surviving)
         self.stats.threads_removed += removed
         if len(surviving) == len(region.threads):
-            return
+            return False
         if len(surviving) >= 2:
             region.threads = surviving
-            return
+            return False
         if len(surviving) == 1:
             # Paper modification 2: one live thread → sequential code.
             body.replace(region, list(surviving[0].body.items))
             self.stats.cobegins_sequentialized += 1
-        else:
-            body.remove(region)
-            self.stats.regions_removed += 1
+            return False
+        self.stats.regions_removed += 1
+        return True
 
 
 def iter_statements_body(body: Body):

@@ -13,12 +13,10 @@ program has exactly the same outcome set as the original — for every
 schedule, not just sampled ones.
 
 The explorer has no semantics of its own: it steps states with
-:meth:`repro.vm.machine.Machine.successor` (:meth:`~repro.vm.machine.Machine.step`,
-the transition function the VM runs, between decoding and re-encoding
-a snapshot), and keys them by :meth:`~repro.vm.machine.Machine.snapshot`
-(threads keyed by spawn path, zero-valued variables dropped).  Output
-produced so far is *not* part of the state: outcomes are composed from
-memoized suffixes.
+:meth:`repro.vm.machine.Machine.step`, the transition function the VM
+runs, and keys them by the state tuple itself (threads sorted by spawn
+path, one memory slot per variable).  Output produced so far is *not*
+part of the state: outcomes are composed from memoized suffixes.
 """
 
 from __future__ import annotations
@@ -80,13 +78,14 @@ _ON_STACK = object()
 _DONE = frozenset({()})
 _LIVELOCK = frozenset({(("livelock",),)})
 _TRUNCATED = frozenset({(("truncated",),)})
+_DEADLOCK = frozenset({(("deadlock",),)})
 
 
 class _Explorer:
-    """Depth-first search over :meth:`Machine.snapshot` states, stepping
-    with :meth:`Machine.successor`.  One memo holds both the finished
-    states and, under the ``_ON_STACK`` sentinel, the states on the DFS
-    path (a revisit of one is a livelock)."""
+    """Depth-first search over machine states, stepping with
+    :meth:`Machine.step`.  One memo holds both the finished states and,
+    under the ``_ON_STACK`` sentinel, the states on the DFS path (a
+    revisit of one is a livelock)."""
 
     def __init__(
         self,
@@ -95,7 +94,8 @@ class _Explorer:
         max_states: int,
     ) -> None:
         self.machine = Machine(program, functions)
-        self.successor = self.machine.successor
+        self.step = self.machine.step
+        self.runnable = self.machine.runnable
         self.max_states = max_states
         #: state → its outcome set, or _ON_STACK while the DFS is inside it
         self.memo: dict[tuple, object] = {}
@@ -103,51 +103,43 @@ class _Explorer:
         self.states = 0
         self.truncated = False
 
-    def runnable(self, state: tuple) -> list[tuple]:
-        """Runnable thread ids of ``state``, in spawn-path order.  Only
-        the lock owners and set events are decoded."""
-        machine = self.machine
-        machine.locks = dict(state[2])
-        machine.events_set = set(state[3])
-        runnable = machine.runnable
-        return [rec[0] for rec in state[0] if runnable(rec)]
-
     # -- DFS with memoized suffixes ---------------------------------------------
 
     def outcomes(self, state: tuple) -> frozenset:
         memo = self.memo
-        cached = memo.get(state)
-        if cached is not None:
-            if cached is _ON_STACK:
-                return _LIVELOCK
-            return cached
-        threads = state[0]
-        if not threads:
+        # One hash of the state both looks it up and marks it on the
+        # stack: it was known iff the memo did not grow.
+        known = len(memo)
+        cached = memo.setdefault(state, _ON_STACK)
+        if len(memo) == known:
+            return _LIVELOCK if cached is _ON_STACK else cached
+        if not state[0]:
             memo[state] = _DONE
             self.states += 1
             return _DONE
         if self.states >= self.max_states:
             self.truncated = True
+            del memo[state]
             return _TRUNCATED
 
-        memo[state] = _ON_STACK
-        runnable = self.runnable(state)
-        collected: set = set()
-        if not runnable:
-            collected.add((("deadlock",),))
+        step = self.step
+        parts = []
+        for tid in self.runnable(state):
+            try:
+                event, next_state = step(state, tid)
+            except VMError as exc:
+                parts.append(frozenset({(("error", str(exc)),)}))
+                continue
+            suffixes = self.outcomes(next_state)
+            if event is not None:
+                suffixes = frozenset([(event,) + suffix for suffix in suffixes])
+            parts.append(suffixes)
+        if not parts:
+            result = _DEADLOCK
+        elif len(parts) == 1:
+            result = parts[0]
         else:
-            for tid in runnable:
-                try:
-                    event, next_state = self.successor(state, tid)
-                except VMError as exc:
-                    collected.add((("error", str(exc)),))
-                    continue
-                suffixes = self.outcomes(next_state)
-                if event is None:
-                    collected.update(suffixes)
-                else:
-                    collected.update((event,) + suffix for suffix in suffixes)
-        result = frozenset(collected)
+            result = parts[0].union(*parts[1:])
         # Do not memoize across a truncation (partial results poison).
         if self.truncated:
             del memo[state]
@@ -174,7 +166,7 @@ def find_witness(
     """
     if isinstance(program, ProgramIR):
         program = compile_program(program)
-    explorer = _Explorer(program, functions or default_functions, max_states)
+    machine = Machine(program, functions or default_functions)
 
     # Depth-first search over (state, produced-prefix) pairs.  The memo
     # keyed by (state, remaining-suffix) bounds the search.
@@ -188,7 +180,7 @@ def find_witness(
         threads = state[0]
         if not threads:
             return list(schedule) if not remaining else None
-        runnable = explorer.runnable(state)
+        runnable = machine.runnable(state)
         if not runnable:
             # Terminal deadlock: matches only the deadlock marker.
             if remaining == (("deadlock",),):
@@ -196,7 +188,7 @@ def find_witness(
             return None
         for tid in runnable:
             try:
-                event, next_state = explorer.successor(state, tid)
+                event, next_state = machine.step(state, tid)
             except VMError as exc:
                 # A failing step ends the schedule with the error marker.
                 if remaining == (("error", str(exc)),):
@@ -220,7 +212,7 @@ def find_witness(
     tracer = get_tracer()
     try:
         with tracer.span("find-witness", max_states=max_states) as span:
-            schedule = dfs(explorer.machine.snapshot(), tuple(outcome), [])
+            schedule = dfs(machine.initial, tuple(outcome), [])
             span.set(
                 found=schedule is not None,
                 states_considered=len(seen),
@@ -250,7 +242,7 @@ def explore(
     tracer = get_tracer()
     try:
         with tracer.span("explore", max_states=max_states) as span:
-            outcomes = explorer.outcomes(explorer.machine.snapshot())
+            outcomes = explorer.outcomes(explorer.machine.initial)
             span.set(
                 states=explorer.states,
                 outcomes=len(outcomes),

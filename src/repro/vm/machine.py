@@ -1,11 +1,24 @@
-"""The interleaving machine: one transition function, one scheduling loop.
+"""The interleaving machine: one immutable state, one transition function.
 
-:class:`Machine` holds the state and :meth:`Machine.step`, the only
-code that executes an instruction.  :class:`VirtualMachine` drives it
-under a seeded random scheduler or a fixed schedule (replay), and
-:mod:`repro.vm.explore` drives it over canonical snapshots through
-:meth:`Machine.successor`.  Each program's expressions are compiled
-once into closures (:func:`compile_expr`).
+A machine state is one hashable tuple ``(threads, memory, locks,
+events)``:
+
+* ``threads``: thread records ``(tid, pc, status, pending)`` sorted by
+  spawn path (``pending`` counts a joining parent's unfinished
+  children; a finished thread's record is dropped);
+* ``memory``: one value per variable slot, the program's variables
+  sorted by name, 0 when unset;
+* ``locks``: per lock slot (lock names sorted), the owner's tid or None;
+* ``events``: per event slot (event names sorted), whether it is set.
+
+Equal configurations are equal tuples, so the state is its own
+canonical snapshot.  :meth:`Machine.step` is the only code that executes
+an instruction: it maps a state and a thread to the observable event
+and the next state, rebuilding only the component the opcode writes.
+:class:`VirtualMachine` drives it under a seeded random scheduler or a
+fixed schedule (replay), and :mod:`repro.vm.explore` drives it over
+every schedule.  Each program's expressions are compiled once into
+closures over the memory tuple (:func:`compile_expr`).
 
 Semantics:
 
@@ -30,12 +43,10 @@ interval timeline.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from repro.errors import DeadlockError, StepLimitExceeded, VMError
-from repro.ir.expr import EBin, ECall, EConst, EUn, EVar, IRExpr
+from repro.ir.expr import EBin, ECall, EConst, EUn, EVar, IRExpr, iter_expr_vars
 from repro.ir.structured import ProgramIR
 from repro.obs.events import (
     ContextSwitch,
@@ -58,7 +69,7 @@ __all__ = [
 ]
 
 #: An expression compiled by :func:`compile_expr`: (memory, functions) → int.
-Evaluator = Callable[[dict, Callable[[str, list[int]], int]], int]
+Evaluator = Callable[[tuple, Callable[[str, list[int]], int]], int]
 
 
 def default_functions(name: str, args: list[int]) -> int:
@@ -74,8 +85,9 @@ def default_functions(name: str, args: list[int]) -> int:
     return acc % 1009 - 504
 
 
-def compile_expr(expr: IRExpr) -> Evaluator:
-    """``expr`` as a closure over (memory, function binding).
+def compile_expr(expr: IRExpr, slots: dict[str, int]) -> Evaluator:
+    """``expr`` as a closure over (memory tuple, function binding); a
+    variable reads ``memory[slots[name]]``.
 
     The closure has the semantics of
     :func:`repro.opt.folding.eval_expr_concrete`, the reference the tests
@@ -88,79 +100,116 @@ def compile_expr(expr: IRExpr) -> Evaluator:
         value = expr.value
         return lambda memory, functions: value
     if isinstance(expr, EVar):
-        name = expr.name
-        return lambda memory, functions: memory.get(name, 0)
+        slot = slots[expr.name]
+        return lambda memory, functions: memory[slot]
     if isinstance(expr, ECall):
         func = expr.func
-        args = [compile_expr(arg) for arg in expr.args]
+        args = [compile_expr(arg, slots) for arg in expr.args]
         return lambda memory, functions: functions(
             func, [arg(memory, functions) for arg in args]
         )
     if isinstance(expr, EUn):
-        op, operand = expr.op, compile_expr(expr.operand)
+        op, operand = expr.op, compile_expr(expr.operand, slots)
         unop = UNARY_OPS.get(op)
         if unop is None:
             return lambda memory, functions: apply_unop(op, operand(memory, functions))
         return lambda memory, functions: unop(operand(memory, functions))
     if isinstance(expr, EBin):
-        op = expr.op
+        op, left, right = expr.op, expr.left, expr.right
         binop = BINARY_OPS.get(op)
-        leaves = _leaf(expr.left), _leaf(expr.right)
-        if binop is not None and None not in leaves:
-            (a, a0), (b, b0) = leaves
-            return lambda memory, functions: binop(
-                memory.get(a, a0), memory.get(b, b0)
-            )
-        left, right = compile_expr(expr.left), compile_expr(expr.right)
+        if binop is not None and isinstance(left, EVar):
+            a = slots[left.name]
+            if isinstance(right, EVar):
+                b = slots[right.name]
+                return lambda memory, functions: binop(memory[a], memory[b])
+            if isinstance(right, EConst):
+                b = right.value
+                return lambda memory, functions: binop(memory[a], b)
+        if binop is not None and isinstance(left, EConst) and isinstance(right, EVar):
+            a, b = left.value, slots[right.name]
+            return lambda memory, functions: binop(a, memory[b])
+        lhs, rhs = compile_expr(left, slots), compile_expr(right, slots)
         if binop is None:
             return lambda memory, functions: apply_binop(
-                op, left(memory, functions), right(memory, functions)
+                op, lhs(memory, functions), rhs(memory, functions)
             )
         return lambda memory, functions: binop(
-            left(memory, functions), right(memory, functions)
+            lhs(memory, functions), rhs(memory, functions)
         )
     raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
 
 
-def _leaf(expr: IRExpr) -> Optional[tuple[Optional[str], int]]:
-    """A variable or constant operand as the memory read ``(key,
-    default)`` that yields it (a constant reads the key None, which
-    memory never holds); None for any other expression."""
-    if isinstance(expr, EVar):
-        return expr.name, 0
-    if isinstance(expr, EConst):
-        return None, expr.value
-    return None
-
-
-def _evaluators(program: VMProgram) -> list:
-    """Per pc: the compiled expression of an assignment or branch, the
-    compiled argument tuple of a print or call, else None."""
-    table: list = []
-    for instr in program.instrs:
-        if instr.op is Op.ASSIGN or instr.op is Op.BRANCH:
-            table.append(compile_expr(instr.expr))
-        elif instr.op is Op.PRINT or instr.op is Op.CALL:
-            table.append(tuple(compile_expr(e) for e in instr.exprs))
-        else:
-            table.append(None)
-    return table
-
-
-#: Thread status in a thread record ``[tid, pc, status, pending]``;
-#: a finished thread's record is dropped.
+#: Thread status in a thread record ``(tid, pc, status, pending)``.
 RUN, JOIN, BARRIER = "r", "j", "b"
 
 
-class Machine:
-    """One interleaving machine state and the transition function over it.
+class _Layout:
+    """A program's slot maps and per-pc tables, built once per program
+    (:meth:`VMProgram.derived`)."""
 
-    The state is the thread records (``tid`` → ``[tid, pc, status,
-    pending]``, keyed by spawn path; ``pending`` counts a joining
-    parent's unfinished children), shared memory, lock owners and the
-    set events.  :meth:`step` is the only code that executes an
-    instruction: :class:`VirtualMachine` drives it under a scheduler,
-    and the explorer drives it from canonical :meth:`snapshot` states.
+    def __init__(self, program: VMProgram) -> None:
+        names: set[str] = set()
+        locks: set[str] = set()
+        events: set[str] = set()
+        for instr in program.instrs:
+            op = instr.op
+            if op is Op.ASSIGN:
+                names.add(instr.name)
+            if op in (Op.LOCK, Op.UNLOCK):
+                locks.add(instr.name)
+            elif op in (Op.SET, Op.WAIT):
+                events.add(instr.name)
+            for expr in [instr.expr] if instr.expr is not None else instr.exprs or ():
+                names.update(var.name for var in iter_expr_vars(expr))
+        #: variable names in slot order
+        self.variables = tuple(sorted(names))
+        #: lock and event names in slot order
+        self.locks = tuple(sorted(locks))
+        self.events = tuple(sorted(events))
+        var_slot = {name: i for i, name in enumerate(self.variables)}
+        lock_slot = {name: i for i, name in enumerate(self.locks)}
+        event_slot = {name: i for i, name in enumerate(self.events)}
+        #: per pc: the memory, lock or event slot its instruction names
+        self.slots: list[Optional[int]] = []
+        #: per pc: the compiled expression of an assignment or branch, the
+        #: compiled argument tuple of a print or call, else None
+        self.evaluators: list = []
+        #: per pc: None, or what a thread at it waits for: (True, lock
+        #: slot) until the lock is free, (False, event slot) until set
+        self.gates: list[Optional[tuple[bool, int]]] = []
+        for instr in program.instrs:
+            op = instr.op
+            slot = gate = evaluator = None
+            if op is Op.ASSIGN:
+                slot = var_slot[instr.name]
+            elif op in (Op.LOCK, Op.UNLOCK):
+                slot = lock_slot[instr.name]
+                gate = (True, slot) if op is Op.LOCK else None
+            elif op in (Op.SET, Op.WAIT):
+                slot = event_slot[instr.name]
+                gate = (False, slot) if op is Op.WAIT else None
+            if op is Op.ASSIGN or op is Op.BRANCH:
+                evaluator = compile_expr(instr.expr, var_slot)
+            elif op is Op.PRINT or op is Op.CALL:
+                evaluator = tuple(compile_expr(e, var_slot) for e in instr.exprs)
+            self.slots.append(slot)
+            self.evaluators.append(evaluator)
+            self.gates.append(gate)
+        self.initial = (
+            (((), program.entry, RUN, 0),),
+            (0,) * len(self.variables),
+            (None,) * len(self.locks),
+            (False,) * len(self.events),
+        )
+
+
+class Machine:
+    """The transition function over one program's machine states (see
+    the module docstring for the state layout).
+
+    :meth:`step` is the only code that executes an instruction:
+    :class:`VirtualMachine` drives it under a scheduler, and the
+    explorer drives it over every schedule from :attr:`initial`.
     """
 
     def __init__(
@@ -168,188 +217,130 @@ class Machine:
         program: VMProgram,
         functions: Callable[[str, list[int]], int],
     ) -> None:
+        layout = program.derived("machine", _Layout)
         self.program = program
         self.instrs = program.instrs
-        self.evaluators = program.derived("evaluators", _evaluators)
-        #: per pc, the :data:`WRITES` entry of its opcode
-        self.writes = program.derived(
-            "writes", lambda p: [WRITES[instr.op] for instr in p.instrs]
-        )
+        self.layout = layout
+        self.slots = layout.slots
+        self.evaluators = layout.evaluators
+        self.gates = layout.gates
         self.functions = functions
-        self.threads: dict[tuple, list] = {(): [(), program.entry, RUN, 0]}
-        self.memory: dict[str, int] = {}
-        self.locks: dict[str, tuple] = {}  # lock name → owner tid
-        self.events_set: set[str] = set()
+        #: the state before the first step
+        self.initial: tuple = layout.initial
 
-    def snapshot(self) -> tuple:
-        """The canonical, hashable encoding of the state.
+    def runnable(self, state: tuple) -> list[tuple]:
+        """The tids of ``state``'s threads that can take a step, in
+        spawn-path order."""
+        _, _, locks, events = state
+        gates = self.gates
+        ready = []
+        for rec in state[0]:
+            if rec[2] == RUN:
+                gate = gates[rec[1]]
+                if gate is None or (
+                    locks[gate[1]] is None if gate[0] else events[gate[1]]
+                ):
+                    ready.append(rec[0])
+        return ready
 
-        Threads are sorted by spawn path and zero-valued variables are
-        dropped (unset variables read as 0), so schedules that reach the
-        same configuration share one snapshot.
+    def step(self, state: tuple, tid: tuple) -> tuple[Optional[tuple], tuple]:
+        """Execute one instruction of the runnable thread ``tid``:
+        (observable event or None, next state).
+
+        The event is ``("print", values)`` or ``("call", name, values)``.
+        Components the opcode does not write are shared with ``state``.
+        Raises :class:`VMError` for a faulting expression or an unlock by
+        a thread that does not own the lock.
         """
-        threads = self.threads
-        memory = tuple(sorted(self.memory.items()))
-        if 0 in self.memory.values():
-            memory = tuple(kv for kv in memory if kv[1] != 0)
-        return (
-            tuple(map(tuple, map(threads.get, sorted(threads)))),
-            memory,
-            tuple(sorted(self.locks.items())),
-            tuple(sorted(self.events_set)),
-        )
-
-    def load(self, snapshot: tuple) -> None:
-        """Make ``snapshot`` the current state."""
-        threads, memory, locks, events = snapshot
-        self.threads = {rec[0]: list(rec) for rec in threads}
-        self.memory = dict(memory)
-        self.locks = dict(locks)
-        self.events_set = set(events)
-
-    def successor(self, state: tuple, tid: tuple) -> tuple[Optional[tuple], tuple]:
-        """Step ``tid`` from ``state``: (event or None, next snapshot).
-
-        The result equals :meth:`snapshot` after :meth:`load` and
-        :meth:`step`, but only the components :data:`WRITES` lists for
-        the opcode are re-encoded; the others are shared with ``state``.
-        The thread records keep their sorted order unless a ``cobegin``
-        adds some, and an assignment changes one memory entry.
-        """
-        self.load(state)
-        _, memory, locks, events = state
-        records = self.threads
-        pc = records[tid][1]
-        written = self.writes[pc]
-        event = self.step(tid)
-        return event, (
-            tuple(map(tuple, map(records.get, sorted(records))))
-            if written & SPAWN
-            else tuple(map(tuple, records.values())),
-            _assigned(memory, self.memory, self.instrs[pc].name)
-            if written & MEMORY
-            else memory,
-            tuple(sorted(self.locks.items())) if written & LOCKS else locks,
-            tuple(sorted(self.events_set)) if written & EVENTS else events,
-        )
-
-    def runnable(self, rec) -> bool:
-        """Can the thread with record ``rec`` take a step now?"""
-        if rec[2] != RUN:
-            return False
-        instr = self.instrs[rec[1]]
-        if instr.op is Op.LOCK:
-            return instr.name not in self.locks
-        if instr.op is Op.WAIT:
-            return instr.name in self.events_set
-        return True
-
-    def step(self, tid: tuple) -> Optional[tuple]:
-        """Execute one instruction of the runnable thread ``tid``.
-
-        Returns the observable event (``("print", values)`` or
-        ``("call", name, values)``) or None; raises :class:`VMError`
-        for an unlock by a thread that does not own the lock.
-        """
-        rec = self.threads[tid]
-        pc = rec[1]
+        threads, memory, locks, events = state
+        i = 0
+        while threads[i][0] != tid:
+            i += 1
+        pc = threads[i][1]
         instr = self.instrs[pc]
         op = instr.op
         event: Optional[tuple] = None
+        next_pc = pc + 1
         if op is Op.ASSIGN:
-            memory = self.memory
-            memory[instr.name] = self.evaluators[pc](memory, self.functions)
-            rec[1] += 1
+            slot = self.slots[pc]
+            value = self.evaluators[pc](memory, self.functions)
+            if memory[slot] != value:
+                memory = memory[:slot] + (value,) + memory[slot + 1:]
         elif op is Op.PRINT:
-            event = ("print", self._eval_args(pc))
-            rec[1] += 1
+            functions = self.functions
+            event = ("print", tuple(arg(memory, functions) for arg in self.evaluators[pc]))
         elif op is Op.CALL:
-            event = ("call", instr.name, self._eval_args(pc))
-            rec[1] += 1
+            functions = self.functions
+            event = (
+                "call",
+                instr.name,
+                tuple(arg(memory, functions) for arg in self.evaluators[pc]),
+            )
         elif op is Op.LOCK:
-            if instr.name in self.locks:  # pragma: no cover - defensive
+            slot = self.slots[pc]
+            if locks[slot] is not None:  # pragma: no cover - defensive
                 raise VMError("scheduled a blocked lock acquire")
-            self.locks[instr.name] = tid
-            rec[1] += 1
+            locks = locks[:slot] + (tid,) + locks[slot + 1:]
         elif op is Op.UNLOCK:
-            owner = self.locks.get(instr.name)
+            slot = self.slots[pc]
+            owner = locks[slot]
             if owner != tid:
                 raise VMError(f"unlock({instr.name}) by {tid} but owner is {owner}")
-            del self.locks[instr.name]
-            rec[1] += 1
+            locks = locks[:slot] + (None,) + locks[slot + 1:]
         elif op is Op.SET:
-            self.events_set.add(instr.name)
-            rec[1] += 1
+            slot = self.slots[pc]
+            if not events[slot]:
+                events = events[:slot] + (True,) + events[slot + 1:]
         elif op is Op.WAIT:
-            if instr.name not in self.events_set:  # pragma: no cover - defensive
+            if not events[self.slots[pc]]:  # pragma: no cover - defensive
                 raise VMError("scheduled a blocked wait")
-            rec[1] += 1
         elif op is Op.BARRIER:
             waiting = [
-                other for other in self.threads.values()
+                k for k, other in enumerate(threads)
                 if other[2] == BARRIER and self.instrs[other[1]].name == instr.name
             ]
-            if len(waiting) + 1 >= (instr.target or 1):
-                for other in waiting:
-                    other[2] = RUN
-                    other[1] += 1
-                rec[1] += 1
-            else:
-                rec[2] = BARRIER
+            if len(waiting) + 1 < (instr.target or 1):
+                record = (tid, pc, BARRIER, 0)
+                return None, (
+                    threads[:i] + (record,) + threads[i + 1:], memory, locks, events
+                )
+            released = list(threads)
+            for k in waiting:
+                other = released[k]
+                released[k] = (other[0], other[1] + 1, RUN, other[3])
+            released[i] = (tid, next_pc, RUN, 0)
+            return None, (tuple(released), memory, locks, events)
         elif op is Op.JUMP:
-            rec[1] = instr.target
+            next_pc = instr.target
         elif op is Op.BRANCH:
-            taken = self.evaluators[pc](self.memory, self.functions) != 0
-            rec[1] = pc + 1 if taken else instr.target
+            if self.evaluators[pc](memory, self.functions) == 0:
+                next_pc = instr.target
         elif op is Op.COBEGIN:
-            rec[1] = instr.target
-            rec[2] = JOIN
-            rec[3] = len(instr.entries)
-            for i, entry in enumerate(instr.entries):
-                child = tid + (i,)
-                self.threads[child] = [child, entry, RUN, 0]
+            # A child's spawn path sorts right after its parent's.
+            spawned = ((tid, instr.target, JOIN, len(instr.entries)),) + tuple(
+                (tid + (k,), entry, RUN, 0) for k, entry in enumerate(instr.entries)
+            )
+            return None, (threads[:i] + spawned + threads[i + 1:], memory, locks, events)
         elif op is Op.END_THREAD:
-            del self.threads[tid]
-            parent = self.threads[tid[:-1]]
-            parent[3] -= 1
-            if parent[3] == 0:
-                parent[2] = RUN
+            # The parent's spawn path is a prefix, so it sorts earlier.
+            j = i - 1
+            while threads[j][0] != tid[:-1]:
+                j -= 1
+            parent = threads[j]
+            pending = parent[3] - 1
+            joined = (parent[0], parent[1], RUN if pending == 0 else parent[2], pending)
+            return None, (
+                threads[:j] + (joined,) + threads[j + 1:i] + threads[i + 1:],
+                memory,
+                locks,
+                events,
+            )
         elif op is Op.HALT:
-            del self.threads[tid]
+            return None, (threads[:i] + threads[i + 1:], memory, locks, events)
         else:  # pragma: no cover - defensive
             raise VMError(f"unknown instruction {instr!r}")
-        return event
-
-    def _eval_args(self, pc: int) -> tuple:
-        memory, functions = self.memory, self.functions
-        return tuple(arg(memory, functions) for arg in self.evaluators[pc])
-
-
-_NAME = itemgetter(0)
-
-
-def _assigned(encoded: tuple, memory: dict, name: str) -> tuple:
-    """The memory encoding ``encoded`` after an assignment to ``name``,
-    whose new value ``memory`` holds: one entry replaced, inserted or
-    (for 0) dropped, so the result stays sorted and zero-free."""
-    i = bisect_left(encoded, name, key=_NAME)
-    j = i + 1 if i < len(encoded) and encoded[i][0] == name else i
-    value = memory[name]
-    entry = ((name, value),) if value else ()
-    return encoded[:i] + entry + encoded[j:]
-
-#: The snapshot components an opcode's step can change besides the
-#: stepping thread's record (:meth:`Machine.successor` re-encodes only
-#: these); SPAWN marks the one step that adds thread records.
-MEMORY, LOCKS, EVENTS, SPAWN = 1, 2, 4, 8
-WRITES: dict[Op, int] = {
-    **{op: 0 for op in Op},
-    Op.ASSIGN: MEMORY,
-    Op.LOCK: LOCKS,
-    Op.UNLOCK: LOCKS,
-    Op.SET: EVENTS,
-    Op.COBEGIN: SPAWN,
-}
+        record = (tid, next_pc, RUN, 0)
+        return event, (threads[:i] + (record,) + threads[i + 1:], memory, locks, events)
 
 
 class Execution:
@@ -405,6 +396,8 @@ class VirtualMachine(Machine):
         if isinstance(program, ProgramIR):
             program = compile_program(program)
         super().__init__(program, functions or default_functions)
+        #: the current machine state
+        self.state = self.initial
         self.rng = random.Random(seed)
         self.fuel = fuel
         self.execution = Execution()
@@ -414,6 +407,10 @@ class VirtualMachine(Machine):
         #: optional happens-before tracker (repro.dynamic.hb.HBTracker);
         #: None keeps the default path at one attribute read + branch
         self.hb = hb
+        #: held lock → owner tid, in acquisition order
+        self.locks: dict[str, tuple] = {}
+        #: memory slots assigned so far, in first-assignment order
+        self._written: dict[int, None] = {}
         self._last_tid: Optional[tuple] = None
         self._acquired_at: dict[str, int] = {}  # lock → step of acquisition
         self._blocked_since: dict[tuple, int] = {}  # (lock, tid) → step
@@ -424,11 +421,9 @@ class VirtualMachine(Machine):
         """Execute to completion (or deadlock / fuel exhaustion)."""
         rng = self.rng
         ex = self.execution
-        threads = self.threads
-        runnable = self.runnable
 
         def pick() -> Optional[tuple]:
-            ready = sorted(tid for tid, rec in threads.items() if runnable(rec))
+            ready = self.runnable(self.state)
             if not ready:
                 return None
             if ex.steps >= self.fuel:
@@ -437,7 +432,7 @@ class VirtualMachine(Machine):
 
         self._loop(pick)
         if ex.deadlocked and raise_on_deadlock:
-            blocked = {rec[0] for rec in threads.values() if rec[2] != JOIN}
+            blocked = {rec[0] for rec in self.state[0] if rec[2] != JOIN}
             raise DeadlockError(blocked, self.locks)
         return ex
 
@@ -453,12 +448,12 @@ class VirtualMachine(Machine):
         tids = iter(schedule)
 
         def runnable_tid(tid) -> tuple:
-            rec = self.threads.get(tuple(tid))
-            if rec is None or not self.runnable(rec):
+            tid = tuple(tid)
+            if tid not in self.runnable(self.state):
                 raise VMError(
                     f"thread {tid!r} is not runnable at step {self.execution.steps}"
                 )
-            return rec[0]
+            return tid
 
         def pick() -> Optional[tuple]:
             tid = next(tids, None)
@@ -475,33 +470,35 @@ class VirtualMachine(Machine):
         done or ``pick`` returns None; then close the execution, which
         deadlocked if live threads remain and none can run."""
         ex = self.execution
-        threads = self.threads
-        while threads:
+        while self.state[0]:
             tid = pick()
             if tid is None:
                 break
             self._account_lock_time()
             self._execute(tid)
             ex.steps += 1
-        ex.deadlocked = bool(threads) and not any(
-            self.runnable(rec) for rec in threads.values()
-        )
-        ex.memory = dict(self.memory)
+        ex.deadlocked = bool(self.state[0]) and not self.runnable(self.state)
+        memory, variables = self.state[1], self.layout.variables
+        ex.memory = {variables[slot]: memory[slot] for slot in self._written}
         self._flush_intervals()
 
     # -- instrumentation around the step ------------------------------------
 
     def _execute(self, tid: tuple) -> None:
         """:meth:`Machine.step` plus lock accounting, hooks and events."""
-        rec = self.threads[tid]
-        instr = self.instrs[rec[1]]
+        threads = self.state[0]
+        for rec in threads:
+            if rec[0] == tid:
+                pc = rec[1]
+                break
+        instr = self.instrs[pc]
         op = instr.op
         hb = self.hb
         tracer = self.tracer
         if hb is not None:
-            hb.on_step(tid, rec[1], instr)
+            hb.on_step(tid, pc, instr)
             if op is Op.BARRIER:
-                waiting = [t for t, r in self.threads.items() if r[2] == BARRIER]
+                waiting = [rec[0] for rec in threads if rec[2] == BARRIER]
         if tracer.enabled:
             steps = self.execution.steps
             if self._last_tid is not None and self._last_tid != tid:
@@ -510,9 +507,11 @@ class VirtualMachine(Machine):
             self._last_tid = tid
             tracer.event(VMStep(steps, tid, op.name))
             tracer.counter("vm.steps").inc()
-        event = self.step(tid)
+        event, self.state = self.step(self.state, tid)
         if event is not None:
             self.execution.events.append(event)
+        elif op is Op.ASSIGN:
+            self._written[self.slots[pc]] = None
         elif op is Op.LOCK:
             self._on_acquire(instr.name, tid)
         elif op is Op.UNLOCK:
@@ -521,13 +520,16 @@ class VirtualMachine(Machine):
             hb.on_spawn(tid, tuple(tid + (i,) for i in range(len(instr.entries))))
         elif hb is not None and op is Op.END_THREAD:
             hb.on_thread_end(tid, tid[:-1])
-        elif hb is not None and op is Op.BARRIER and rec[2] == RUN:
-            # the step released the barrier: so did every waiter at it
-            released = [t for t in waiting if self.threads[t][2] == RUN]
-            hb.on_barrier_release(instr.name, released + [tid])
+        elif hb is not None and op is Op.BARRIER:
+            status = {rec[0]: rec[2] for rec in self.state[0]}
+            if status[tid] == RUN:
+                # the step released the barrier: so did every waiter at it
+                released = [t for t in waiting if status[t] == RUN]
+                hb.on_barrier_release(instr.name, released + [tid])
 
     def _on_acquire(self, lock: str, tid: tuple) -> None:
         ex = self.execution
+        self.locks[lock] = tid
         ex.lock_acquisitions[lock] = ex.lock_acquisitions.get(lock, 0) + 1
         self._acquired_at[lock] = ex.steps
         blocked_since = self._blocked_since.pop((lock, tid), None)
@@ -537,6 +539,7 @@ class VirtualMachine(Machine):
             self.tracer.counter(f"vm.lock_acquisitions.{lock}").inc()
 
     def _on_release(self, lock: str, tid: tuple) -> None:
+        del self.locks[lock]
         acquired_at = self._acquired_at.pop(lock, 0)
         self._close_interval("held", lock, tid, acquired_at)
         if self.tracer.enabled:
@@ -579,13 +582,16 @@ class VirtualMachine(Machine):
     def _account_lock_time(self) -> None:
         ex = self.execution
         tracer = self.tracer
-        for lock_name in self.locks:
+        locks = self.locks
+        if not locks:
+            return
+        for lock_name in locks:
             ex.lock_held_steps[lock_name] = ex.lock_held_steps.get(lock_name, 0) + 1
-        for rec in self.threads.values():
+        for rec in self.state[0]:
             if rec[2] != RUN:
                 continue
             instr = self.instrs[rec[1]]
-            if instr.op is Op.LOCK and instr.name in self.locks:
+            if instr.op is Op.LOCK and instr.name in locks:
                 ex.lock_blocked_steps[instr.name] = (
                     ex.lock_blocked_steps.get(instr.name, 0) + 1
                 )

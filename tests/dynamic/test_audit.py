@@ -168,3 +168,32 @@ class TestReportShape:
         assert counters[f"{WORK_PREFIX}audit.runs"] == 4
         assert counters[f"{WORK_PREFIX}audit.access_checks"] > 0
         assert counters[f"{WORK_PREFIX}audit.dynamic_races"] >= 1
+
+
+class TestFaultingSchedules:
+    """A schedule whose step faults is an outcome with an error marker,
+    as in the explorer, not an aborted audit."""
+
+    def test_sampled_error_outcome_is_explored(self):
+        report = audit_source(
+            "cobegin T0: begin x = 1; end T1: begin y = 10 / x; print(y); end coend"
+        )
+        error = (("error", "division by zero"),)
+        assert report.coverage.runs == 16
+        assert error in report.coverage.sampled_outcomes
+        assert error in report.coverage.explored_outcomes
+        assert report.coverage.sampled_outcomes <= report.coverage.explored_outcomes
+
+    def test_races_found_before_the_fault_are_kept(self):
+        source = """
+        cobegin begin x = 1; print(x); end begin x = 2; end coend
+        y = 10 / (x - x);
+        """
+        report = audit_source(source, runs=4)
+        assert report.coverage.runs == 4
+        assert {o[-1] for o in report.coverage.sampled_outcomes} == {
+            ("error", "division by zero")
+        }
+        assert [race.var for race in report.dynamic] == ["x"]
+        assert report.coverage.orderings
+        assert report.sound

@@ -57,11 +57,12 @@ def test_mutual_exclusion_invariant(config, seed):
     vm = VirtualMachine(program, seed=seed)
     original_step = vm.step
 
-    def checked_step(tid):
-        event = original_step(tid)
-        for lock, owner in vm.locks.items():
-            assert owner in vm.threads  # finished threads are dropped
-        return event
+    def checked_step(state, tid):
+        event, next_state = original_step(state, tid)
+        live = {rec[0] for rec in next_state[0]}
+        for owner in next_state[2]:
+            assert owner is None or owner in live  # finished threads are dropped
+        return event, next_state
 
     vm.step = checked_step
     vm.run(raise_on_deadlock=False)
@@ -110,16 +111,45 @@ def test_explore_matches_the_reference_transition_function(config, max_states):
     assert _successors_match_oracle(program, max_states) == states
 
 
+def _slot_state(layout, state) -> tuple:
+    """The machine state that the oracle's ``state`` encodes: the same
+    thread records, and one slot per variable, lock and event."""
+    threads, memory, locks, events = state
+    memory, locks = dict(memory), dict(locks)
+    return (
+        threads,
+        tuple(memory.get(name, 0) for name in layout.variables),
+        tuple(locks.get(name) for name in layout.locks),
+        tuple(name in events for name in layout.events),
+    )
+
+
+def _oracle_state(layout, state) -> tuple:
+    """The inverse of :func:`_slot_state`: zero-valued variables, free
+    locks and unset events dropped, the rest as sorted pairs or names."""
+    threads, memory, locks, events = state
+    return (
+        threads,
+        tuple((name, v) for name, v in zip(layout.variables, memory) if v != 0),
+        tuple((name, o) for name, o in zip(layout.locks, locks) if o is not None),
+        tuple(name for name, is_set in zip(layout.events, events) if is_set),
+    )
+
+
 def _successors_match_oracle(program, max_states=200_000):
-    """``Machine.successor``, which re-encodes only the components an
-    opcode writes, gives the oracle's next state for every transition
-    the oracle explores."""
+    """``Machine.step`` on slot-indexed states gives the oracle's next
+    state for every transition the oracle explores, through the
+    bijection between the two state encodings."""
     machine = Machine(program, default_functions)
+    layout = machine.layout
     transitions = oracle_transitions(program, max_states=max_states)
     for state, moves in transitions.items():
+        slotted = _slot_state(layout, state)
+        assert _oracle_state(layout, slotted) == state
         for tid, event, next_state in moves:
             try:
-                got = machine.successor(state, tid)
+                got_event, got_state = machine.step(slotted, tid)
+                got = (got_event, _oracle_state(layout, got_state))
             except VMError:
                 got = (("error",), None)
             assert got == (event, next_state), (state, tid)

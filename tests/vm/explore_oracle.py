@@ -2,9 +2,12 @@
 
 This is the explorer as it was before it shared
 :meth:`repro.vm.machine.Machine.step` with the VM: a private copy of the
-interleaving semantics over the same canonical state encoding.  The
-property suite checks that :func:`repro.vm.explore.explore` reports the
-same outcome sets and state counts as this oracle.  Two deliberate
+interleaving semantics over the machine's earlier state encoding
+(zero-valued variables dropped, memory, locks and events as sorted name
+pairs or names).  That encoding is a bijection with the machine's
+slot-indexed states, so the property suite checks that
+:func:`repro.vm.explore.explore` reports the same outcome sets and
+state counts as this oracle, and maps each transition between the two.  Two deliberate
 differences from the production code: error outcomes carry this
 module's own message (compare them by kind only), and the oracle has
 no witness search.

@@ -21,6 +21,8 @@ from repro.vm.machine import VirtualMachine, compile_expr, default_functions, ru
 from tests.conftest import build
 
 _NAMES = ["a", "b", "c"]
+#: the memory slot of every variable the expressions below read
+_SLOTS = {name: i for i, name in enumerate(_NAMES + ["unset"])}
 
 _leaves = st.one_of(
     st.integers(-6, 6).map(EConst),
@@ -47,8 +49,15 @@ def _outcome(fn):
     return (type(value), value)
 
 
+def _compiled(expr, memory, functions=default_functions):
+    """``expr`` compiled against :data:`_SLOTS`, evaluated on ``memory``
+    laid out as a memory tuple."""
+    values = tuple(memory.get(name, 0) for name in _SLOTS)
+    return compile_expr(expr, _SLOTS)(values, functions)
+
+
 def _both(expr, memory):
-    compiled = _outcome(lambda: compile_expr(expr)(memory, default_functions))
+    compiled = _outcome(lambda: _compiled(expr, memory))
     reference = _outcome(
         lambda: eval_expr_concrete(
             expr, lambda name: memory.get(name, 0), default_functions
@@ -90,7 +99,7 @@ def test_division_and_modulo_by_zero_raise_the_reference_error(expr, message):
     ],
 )
 def test_unknown_operator_raises_when_evaluated_not_when_compiled(expr, message):
-    compile_expr(expr)  # compiles without complaint
+    compile_expr(expr, _SLOTS)  # compiles without complaint
     compiled, reference = _both(expr, {"a": 7, "b": 2})
     assert compiled == reference == ("error", message)
 
@@ -103,7 +112,7 @@ def test_custom_binding_receives_evaluated_arguments():
         return len(args)
 
     expr = EBin("+", ECall("h", [EVar("a"), EConst(-2)]), ECall("k", []))
-    assert compile_expr(expr)({"a": 5}, binding) == 2
+    assert _compiled(expr, {"a": 5}, binding) == 2
     assert seen == [("h", [5, -2]), ("k", [])]
 
 
@@ -123,7 +132,7 @@ def test_a_program_that_ran_still_pickles_and_runs_the_same():
     before = [run_random(program, seed=s).output_key() for s in range(6)]
     explored = explore(program)
     VirtualMachine(program, seed=1, hb=HBTracker(program)).run()
-    assert {"evaluators", "writes", "accesses"} <= set(program._derived)
+    assert {"machine", "accesses"} <= set(program._derived)
 
     copy = pickle.loads(pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL))
     assert copy._derived == {}
