@@ -12,15 +12,11 @@ Two numbers justify ``repro.serve``'s existence:
    round trip (client → server → worker pool → back) is measured
    against the same warm request in-process; the overhead is reported
    (and sanity-bounded, loosely — CI machines jitter).
-
-Emits ``BENCH_serve.json`` next to ``EXPERIMENTS.md``.
 """
 
-import json
 import os
 import tempfile
 import threading
-from time import perf_counter
 
 from repro import api
 from repro.bench import register
@@ -29,25 +25,10 @@ from repro.serve.server import CompileServer
 from repro.serve.store import PersistentStore
 from repro.session import Session
 
-from benchmarks.common import FIGURE_CORPUS, print_table
+from benchmarks.common import FIGURE_CORPUS, best_of
 
-BENCH_SERVE_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_serve.json",
-)
-
-_REPEATS = 5
 #: the measured journey: every figure through diagnostics + optimized
 _STAGES = ("diagnostics", "optimized")
-
-
-def _best_of(fn, repeats: int = _REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = perf_counter()
-        fn()
-        best = min(best, perf_counter() - t0)
-    return best
 
 
 def _journey(session: Session) -> None:
@@ -63,7 +44,7 @@ def measure_store(store_dir: str) -> dict:
     def cold() -> None:
         _journey(Session())
 
-    cold_s = _best_of(cold)
+    cold_s = best_of(cold)
 
     # Populate the store once, then measure with a fresh memory tier
     # per run — exactly what a restarted server sees.
@@ -72,7 +53,7 @@ def measure_store(store_dir: str) -> dict:
     def store_warm() -> None:
         _journey(Session(cache=PersistentStore(store_dir)))
 
-    warm_s = _best_of(store_warm)
+    warm_s = best_of(store_warm)
     return {
         "cold_ms": round(cold_s * 1e3, 3),
         "store_warm_ms": round(warm_s * 1e3, 3),
@@ -96,7 +77,7 @@ def measure_wire(store_dir: str) -> dict:
             def wire() -> None:
                 _journey_wire(client)
 
-            wire_s = _best_of(wire)
+            wire_s = best_of(wire)
             ops = client.ops()
     finally:
         server.request_drain_threadsafe()
@@ -108,7 +89,7 @@ def measure_wire(store_dir: str) -> dict:
     def inproc() -> None:
         _journey(warm_session)
 
-    inproc_s = _best_of(inproc)
+    inproc_s = best_of(inproc)
     requests = len(FIGURE_CORPUS) * len(_STAGES)
     return {
         "warm_inproc_ms": round(inproc_s * 1e3, 3),
@@ -135,7 +116,6 @@ def _journey_wire(client: ServeClient) -> None:
     group="fast",
     repeat=1,
     summary="compile service: store-warm vs cold latency, wire overhead",
-    emits=("BENCH_serve.json",),
 )
 def bench_serve() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
@@ -148,33 +128,5 @@ def bench_serve() -> dict:
         f"(cold {store['cold_ms']}ms, warm {store['store_warm_ms']}ms)"
     )
     assert wire["server_requests_ok"] >= 2 * len(FIGURE_CORPUS) * len(_STAGES)
+    return {"store": store, "wire": wire}
 
-    payload = {"store": store, "wire": wire}
-    with open(BENCH_SERVE_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
-
-
-def main() -> None:
-    payload = bench_serve()
-    print_table(
-        "persistent store: cold vs store-warm (full figure journey)",
-        ["metric", "value"],
-        sorted(payload["store"].items()),
-    )
-    print()
-    print_table(
-        "wire overhead: warm in-process vs warm over TCP",
-        ["metric", "value"],
-        [
-            (k, v)
-            for k, v in sorted(payload["wire"].items())
-            if not isinstance(v, dict)
-        ],
-    )
-    print(f"\nwrote {BENCH_SERVE_PATH}")
-
-
-if __name__ == "__main__":
-    main()

@@ -16,18 +16,17 @@ Two claims of the ``repro.session`` redesign, quantified:
    process pool (real parallelism when the hardware has cores; the
    speedup assertion is gated on ``os.cpu_count() >= 2``, and the
    observed value is always recorded).
-
-Emits ``BENCH_session.json`` next to ``EXPERIMENTS.md``.
 """
 
 import glob
-import json
 import os
 import tempfile
 from time import perf_counter
 
 from repro.bench import register
 from repro.session import BatchSession, Session
+
+from benchmarks.common import best_of
 
 _REPEATS = 7
 #: corpus replication factor for the scaling measurement (96 files)
@@ -36,23 +35,10 @@ _REPLICAS = 12
 _EXAMPLES = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples"
 )
-BENCH_SESSION_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_session.json",
-)
 
 JOURNEY_SOURCE = open(
     os.path.join(_EXAMPLES, "figure2.par"), encoding="utf-8"
 ).read()
-
-
-def _best_of(fn, repeats: int = _REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = perf_counter()
-        fn()
-        best = min(best, perf_counter() - t0)
-    return best
 
 
 def _cold_journey() -> None:
@@ -69,21 +55,21 @@ def _sweep(session: Session) -> None:
 
 
 def measure_journey() -> dict:
-    cold = _best_of(_cold_journey)
+    cold = best_of(_cold_journey, _REPEATS)
 
     def fill() -> None:
         _sweep(Session())
-    fill_time = _best_of(fill)
+    fill_time = best_of(fill, _REPEATS)
 
     warm = Session()
     _sweep(warm)
-    steady = _best_of(lambda: _sweep(warm))
+    steady = best_of(lambda: _sweep(warm), _REPEATS)
 
     def amortized() -> None:
         session = Session()
         _sweep(session)
         _sweep(session)
-    amortized_time = _best_of(amortized) / 2  # per-sweep cost
+    amortized_time = best_of(amortized, _REPEATS) / 2  # per-sweep cost
 
     stats_session = Session()
     _sweep(stats_session)
@@ -156,18 +142,6 @@ def measure_batch() -> dict:
     }
 
 
-def emit_bench_session(journey: dict, batch: dict) -> dict:
-    payload = {
-        "schema": "repro.session/bench/v1",
-        "journey": journey,
-        "batch": batch,
-    }
-    with open(BENCH_SESSION_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return payload
-
-
 @register(
     "session_cache",
     group="slow",
@@ -175,7 +149,6 @@ def emit_bench_session(journey: dict, batch: dict) -> dict:
     profile=False,  # the cache journeys time themselves; an ambient
     # tracer's span cost would distort them
     summary="artifact-cache journey speedups and batch-driver scaling",
-    emits=("BENCH_session.json",),
 )
 def bench_session_cache() -> dict:
     journey = measure_journey()
@@ -190,9 +163,4 @@ def bench_session_cache() -> dict:
         )
     else:
         assert batch["speedup_vs_serial"]["process_x2"] >= 1.3, batch
-    return emit_bench_session(journey, batch)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    bench_session_cache()
-    print(f"wrote {BENCH_SESSION_PATH}")
+    return {"journey": journey, "batch": batch}

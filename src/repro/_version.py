@@ -6,4 +6,4 @@ version into every cache key — can import it without touching the
 package root and its re-export graph.
 """
 
-__version__ = "2.1.1"
+__version__ = "3.0.0"

@@ -238,24 +238,25 @@ def compile_source(
     stage: str = "diagnostics",
     options: Optional[Mapping[str, Any]] = None,
     session: Optional[Session] = None,
-    trace: Optional[Tracer] = None,
 ) -> CompileResult:
     """Run one stage journey and return its typed result.
 
     ``stage`` names a wire stage (see :data:`SERVE_STAGES`); ``options``
     is validated against the stage's schema.  The result's ``as_dict()``
     is exactly what ``repro serve`` would answer for the same request.
+    To capture the journey's spans and events, call it inside
+    ``with use_tracer(tracer):``.
     """
     opts = stage_options(stage, options)
     sess = _session(session)
     # Always run under a private tracer so the work/cache counters are
-    # exact for *this* request, then forward the capture to the caller's
-    # tracer (or the ambient --trace one) so nothing is lost to it.
+    # exact for *this* request, then forward the capture to the ambient
+    # tracer (``use_tracer``, ``--trace``) so nothing is lost to it.
+    ambient = get_tracer()
     tracer = Tracer()
     with use_tracer(tracer):
         artifacts, diagnostics = _HANDLERS[stage](sess, source, opts)
-    ambient = trace if trace is not None else get_tracer()
-    if getattr(ambient, "enabled", False) and ambient is not tracer:
+    if ambient.enabled:
         ambient.absorb(tracer)
     counters = tracer.metrics.counters
     work = {
@@ -301,21 +302,17 @@ def analyze(
     source: str,
     prune: bool = True,
     session: Optional[Session] = None,
-    trace: Optional[Tracer] = None,
 ) -> CompileResult:
     """Typed CSSAME/CSSA analysis (listing + form metrics)."""
-    return compile_source(
-        source, "analyze", {"prune": prune}, session=session, trace=trace
-    )
+    return compile_source(source, "analyze", {"prune": prune}, session=session)
 
 
 def diagnose(
     source: str,
     session: Optional[Session] = None,
-    trace: Optional[Tracer] = None,
 ) -> DiagnoseResult:
     """Typed Section 6 diagnostics (warnings + races as frames)."""
-    result = compile_source(source, "diagnostics", session=session, trace=trace)
+    result = compile_source(source, "diagnostics", session=session)
     assert isinstance(result, DiagnoseResult)
     return result
 
@@ -326,7 +323,6 @@ def optimize(
     use_mutex: bool = True,
     fold_output_uses: bool = True,
     session: Optional[Session] = None,
-    trace: Optional[Tracer] = None,
 ) -> OptimizeResult:
     """Typed optimization pipeline result (listing + pass stats)."""
     result = compile_source(
@@ -338,7 +334,6 @@ def optimize(
             "fold_output_uses": fold_output_uses,
         },
         session=session,
-        trace=trace,
     )
     assert isinstance(result, OptimizeResult)
     return result

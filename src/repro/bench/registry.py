@@ -26,17 +26,15 @@ Registration metadata:
 * ``repeat`` — optional cap on the statistical repeat count, for
   benchmarks that measure timing internally or take seconds per run.
 * ``profile`` — when False, the runner skips the traced work-counter
-  pass; set it on benchmarks whose own measurements a globally enabled
+  pass; set it on benchmarks whose own measurements an enabled ambient
   tracer would distort (e.g. the tracer-overhead benchmark itself).
-* ``emits`` — names of ``BENCH_*.json`` files the benchmark refreshes
-  as a side effect, for the CLI to report.
 """
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 __all__ = [
@@ -61,8 +59,6 @@ class Benchmark:
     repeat: Optional[int] = None
     #: run a traced pass to collect deterministic work counters
     profile: bool = True
-    #: BENCH_*.json files this benchmark writes as a side effect
-    emits: tuple[str, ...] = field(default_factory=tuple)
 
 
 _REGISTRY: dict[str, Benchmark] = {}
@@ -75,7 +71,6 @@ def register(
     summary: str = "",
     repeat: Optional[int] = None,
     profile: bool = True,
-    emits: Iterable[str] = (),
 ) -> Callable[[Callable[[], object]], Callable[[], object]]:
     """Decorator: sign ``fn`` into the registry as ``name``."""
 
@@ -92,7 +87,6 @@ def register(
             else "",
             repeat=repeat,
             profile=profile,
-            emits=tuple(emits),
         )
         _REGISTRY[name] = bench
         fn.benchmark = bench  # type: ignore[attr-defined]

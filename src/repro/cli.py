@@ -774,7 +774,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker count (default: 1 = serial)",
+        help="worker count (default: 1 = serial; only a serial run "
+             "records into --trace)",
     )
     p.add_argument(
         "--executor", choices=("thread", "process"), default="thread",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.obs.trace import NullTracer, Tracer, get_tracer
+from repro.obs.trace import NullTracer, Tracer, get_tracer, use_tracer
 
 __all__ = [
     "WORK_PREFIX",
@@ -129,10 +129,10 @@ def profile_source(
     from repro.session import Session
 
     tracer = tracer if tracer is not None else Tracer()
-    report = Session().optimize(
-        source,
-        passes=DEFAULT_PASSES if passes is None else passes,
-        use_mutex=use_mutex,
-        trace=tracer,
-    )
+    with use_tracer(tracer):
+        report = Session().optimize(
+            source,
+            passes=DEFAULT_PASSES if passes is None else passes,
+            use_mutex=use_mutex,
+        )
     return WorkProfile(tracer, report)

@@ -1,13 +1,15 @@
 """Span-based tracer with a zero-overhead disabled default.
 
-The process owns one global tracer.  It defaults to :data:`NULL_TRACER`,
-whose every operation is a constant-time no-op that allocates nothing —
+The ambient tracer is context-local: it lives in a
+:class:`contextvars.ContextVar`, so each thread and each asyncio task
+sees its own.  It defaults to :data:`NULL_TRACER`, whose every
+operation is a constant-time no-op that allocates nothing —
 instrumented hot paths guard event construction behind
 ``tracer.enabled`` so the disabled cost is one attribute read and a
-branch.  Enable tracing either by installing a real :class:`Tracer`
-globally (:func:`set_tracer` / the :func:`use_tracer` context manager)
-or per-call via the ``trace=`` parameter of the :mod:`repro.api`
-helpers.
+branch.  Enable tracing by scoping a real :class:`Tracer` with the
+:func:`use_tracer` context manager.  A new thread starts with
+:data:`NULL_TRACER`; to carry the caller's tracer into a worker, run
+the worker under ``contextvars.copy_context().run``.
 
 Data model: a tracer keeps one flat ``records`` list containing
 :class:`Span` and :class:`~repro.obs.events.Event` objects in emission
@@ -21,6 +23,8 @@ tracer's :class:`~repro.obs.metrics.MetricsRegistry`.
 from __future__ import annotations
 
 import contextlib
+import threading
+from contextvars import ContextVar
 from time import perf_counter
 from typing import Callable, Iterator, Optional, Union
 
@@ -114,6 +118,7 @@ class Tracer:
         self._stack: list[Span] = []
         self._clock = clock
         self._epoch = clock()
+        self._absorb_lock = threading.Lock()
 
     def _now(self) -> float:
         return self._clock() - self._epoch
@@ -150,18 +155,20 @@ class Tracer:
         add and histograms concatenate.  Used by the api facade, which
         runs every request under a private tracer for exact per-request
         accounting and then forwards the capture to the ambient
-        ``--trace`` tracer.
+        ``--trace`` tracer.  Concurrent requests may absorb into one
+        tracer at once, so the fold runs under a lock.
         """
         delta = other._epoch - self._epoch
-        for record in other.records:
-            if isinstance(record, Span):
-                record.start += delta
-                if record.end is not None:
-                    record.end += delta
-            else:
-                record.ts += delta
-            self.records.append(record)
-        self.metrics.merge(other.metrics)
+        with self._absorb_lock:
+            for record in other.records:
+                if isinstance(record, Span):
+                    record.start += delta
+                    if record.end is not None:
+                        record.end += delta
+                else:
+                    record.ts += delta
+                self.records.append(record)
+            self.metrics.merge(other.metrics)
 
     # -- views ---------------------------------------------------------------
 
@@ -225,19 +232,21 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
-_global_tracer: Union[Tracer, NullTracer] = NULL_TRACER
+_current: ContextVar[Union[Tracer, NullTracer]] = ContextVar(
+    "repro_tracer", default=NULL_TRACER
+)
 
 
 def get_tracer() -> Union[Tracer, NullTracer]:
-    """The process-global tracer (the no-op tracer by default)."""
-    return _global_tracer
+    """The current context's tracer (the no-op tracer by default)."""
+    return _current.get()
 
 
 def set_tracer(tracer: Union[Tracer, NullTracer, None]) -> Union[Tracer, NullTracer]:
-    """Install ``tracer`` globally (``None`` → no-op); returns the previous."""
-    global _global_tracer
-    previous = _global_tracer
-    _global_tracer = tracer if tracer is not None else NULL_TRACER
+    """Install ``tracer`` in the current context (``None`` → no-op);
+    returns the previous one."""
+    previous = _current.get()
+    _current.set(tracer if tracer is not None else NULL_TRACER)
     return previous
 
 
@@ -245,9 +254,9 @@ def set_tracer(tracer: Union[Tracer, NullTracer, None]) -> Union[Tracer, NullTra
 def use_tracer(
     tracer: Union[Tracer, NullTracer, None],
 ) -> Iterator[Union[Tracer, NullTracer]]:
-    """Install ``tracer`` for the duration of the ``with`` block."""
-    previous = set_tracer(tracer)
+    """Install ``tracer`` in the current context for the ``with`` block."""
+    token = _current.set(tracer if tracer is not None else NULL_TRACER)
     try:
-        yield get_tracer()
+        yield _current.get()
     finally:
-        set_tracer(previous)
+        _current.reset(token)

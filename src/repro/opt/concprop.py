@@ -343,15 +343,6 @@ class _Transformer:
 
     # -- φ/π rewriting -----------------------------------------------------
 
-    def _display_name(self, stmt: IRStmt) -> str:
-        if isinstance(stmt, SAssign):
-            return stmt.ssa_target
-        if isinstance(stmt, Phi):
-            return stmt.ssa_target
-        if isinstance(stmt, Pi):
-            return stmt.target
-        return f"stmt#{stmt.uid}"
-
     def _redirect_uses(self, def_site: IRStmt, target: EVar) -> None:
         for use, _holder in self.a.usemap.uses_of(def_site):
             use.name = target.name
@@ -497,15 +488,6 @@ class _Transformer:
             stmt.cond = fold_expr(stmt.cond)
 
     # -- structural folding ----------------------------------------------------
-
-    def _branch_executable_succs(self, branch: SBranch) -> Optional[list[int]]:
-        graph = self.a.graph
-        if not graph.contains_stmt(branch):
-            return None
-        block = graph.block_of(branch)
-        if block.id not in self.a.executable_blocks:
-            return None
-        return [s for s in block.succs if (block.id, s) in self.a.executable_edges]
 
     def _fold_regions(self, body: Body) -> None:
         for item in list(body.items):

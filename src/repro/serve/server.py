@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextvars
 import os
 import signal
 from typing import Callable, Optional
@@ -341,8 +342,11 @@ class CompileServer:
             return
 
         self._inflight += 1
+        # The worker runs in a copy of this task's context, so the tracer
+        # the server was started under receives each request's capture.
         future = self._loop.run_in_executor(
             self._executor,
+            contextvars.copy_context().run,
             self.worker,
             self.session,
             stage,

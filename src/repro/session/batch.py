@@ -10,6 +10,11 @@ regardless of completion order.
 Error isolation: a file that fails to read, parse, or analyze yields a
 ``FileResult`` whose ``error`` field carries the structured message —
 it never kills the batch and never disturbs its neighbours' results.
+
+Tracing: pool workers start untraced.  The pipeline records straight
+into the ambient tracer (:func:`repro.obs.trace.use_tracer`), whose
+span stack one thread at a time may use, so only a serial batch
+(``jobs=1``) records into it.
 """
 
 from __future__ import annotations

@@ -28,9 +28,11 @@ Sharing rules (what a caller may do with a returned artifact):
 
 Tracing: every stage lookup runs under a ``stage:<name>`` span carrying
 a ``cache_hit`` attribute, and bumps the ``session.cache.hit`` /
-``session.cache.miss`` counters of the active tracer.  A traced request
-against a warm session therefore records cache hits, not the pipeline
-spans; trace a fresh ``Session()`` to observe a full run.
+``session.cache.miss`` counters of the current context's tracer.  To
+trace a journey, call it inside ``with use_tracer(tracer):``
+(:mod:`repro.obs.trace`).  A traced request against a warm session
+records cache hits, not the pipeline spans; trace a fresh ``Session()``
+to observe a full run.
 
 For data rather than live objects, take the typed results of
 :mod:`repro.api` (the same payloads ``repro serve`` answers with).
@@ -38,26 +40,19 @@ For data rather than live objects, take the typed results of
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Mapping, Optional
 
 from repro.cssame.builder import CSSAMEForm
 from repro.ir.structured import ProgramIR, clone_program
 from repro.mutex.races import RaceReport
 from repro.mutex.warnings import SyncWarning
-from repro.obs.trace import Tracer, get_tracer, use_tracer
+from repro.obs.trace import get_tracer
 from repro.opt.pipeline import DEFAULT_PASSES, OptimizationReport
 from repro.session.artifacts import ArtifactCache, CacheStats, derive_key, source_key
 from repro.session.stages import STAGES
 from repro.vm.bytecode import VMProgram
 
 __all__ = ["Session"]
-
-
-def _tracing(trace: Optional[Tracer]):
-    if trace is None:
-        return contextlib.nullcontext()
-    return use_tracer(trace)
 
 
 class Session:
@@ -155,39 +150,31 @@ class Session:
 
     # -- journeys ------------------------------------------------------------
 
-    def front_end(
-        self, source: str, trace: Optional[Tracer] = None
-    ) -> ProgramIR:
+    def front_end(self, source: str) -> ProgramIR:
         """Parse and lower ``source``; returns a private, mutable copy."""
-        with _tracing(trace):
-            return clone_program(self._artifact("ir", source, {}))
+        return clone_program(self._artifact("ir", source, {}))
 
     def analyze(
         self,
         source: str,
         prune: bool = True,
         prune_events: bool = True,
-        trace: Optional[Tracer] = None,
     ) -> CSSAMEForm:
         """CSSAME form of ``source`` (``prune=False`` → plain CSSA).
 
         The returned form is the cached artifact — treat it as
         read-only.
         """
-        with _tracing(trace):
-            return self._artifact(
-                "cssame",
-                source,
-                {"prune": prune, "prune_events": prune_events},
-            )
+        return self._artifact(
+            "cssame",
+            source,
+            {"prune": prune, "prune_events": prune_events},
+        )
 
-    def diagnose(
-        self, source: str, trace: Optional[Tracer] = None
-    ) -> tuple[list[SyncWarning], list[RaceReport]]:
+    def diagnose(self, source: str) -> tuple[list[SyncWarning], list[RaceReport]]:
         """Section 6 diagnostics (sync warnings + potential races)."""
-        with _tracing(trace):
-            warnings, races = self._artifact("diagnostics", source, {})
-            return list(warnings), list(races)
+        warnings, races = self._artifact("diagnostics", source, {})
+        return list(warnings), list(races)
 
     def optimize(
         self,
@@ -196,40 +183,26 @@ class Session:
         use_mutex: bool = True,
         fold_output_uses: bool = True,
         simplify: bool = True,
-        trace: Optional[Tracer] = None,
     ) -> OptimizationReport:
         """The paper's optimization pipeline; cached per option tuple."""
-        with _tracing(trace):
-            return self._artifact(
-                "optimized",
-                source,
-                {
-                    "passes": tuple(passes),
-                    "use_mutex": use_mutex,
-                    "fold_output_uses": fold_output_uses,
-                    "simplify": simplify,
-                },
-            )
+        return self._artifact(
+            "optimized",
+            source,
+            {
+                "passes": tuple(passes),
+                "use_mutex": use_mutex,
+                "fold_output_uses": fold_output_uses,
+                "simplify": simplify,
+            },
+        )
 
-    def dot(
-        self,
-        source: str,
-        title: str = "PFG",
-        prune: bool = True,
-        trace: Optional[Tracer] = None,
-    ) -> str:
+    def dot(self, source: str, title: str = "PFG", prune: bool = True) -> str:
         """DOT rendering of the PFG (CSSAME, or CSSA with ``prune=False``)."""
-        with _tracing(trace):
-            return self._artifact(
-                "dot",
-                source,
-                {"title": title, "prune": prune},
-            )
+        return self._artifact("dot", source, {"title": title, "prune": prune})
 
-    def bytecode(self, source: str, trace: Optional[Tracer] = None) -> VMProgram:
+    def bytecode(self, source: str) -> VMProgram:
         """VM bytecode of the (unoptimized) program."""
-        with _tracing(trace):
-            return self._artifact("bytecode", source, {})
+        return self._artifact("bytecode", source, {})
 
     # -- bookkeeping ---------------------------------------------------------
 

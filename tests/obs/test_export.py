@@ -13,7 +13,7 @@ from repro.obs.export import (
     trace_as_dicts,
     write_trace,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, use_tracer
 from repro.session import Session
 from tests.conftest import FIGURE2_SOURCE
 
@@ -21,7 +21,8 @@ from tests.conftest import FIGURE2_SOURCE
 @pytest.fixture(scope="module")
 def traced():
     tracer = Tracer()
-    Session().optimize(FIGURE2_SOURCE, trace=tracer)
+    with use_tracer(tracer):
+        Session().optimize(FIGURE2_SOURCE)
     return tracer
 
 

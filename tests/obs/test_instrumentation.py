@@ -28,7 +28,8 @@ def _event_payloads(tracer: Tracer) -> list[dict]:
 class TestPipelineEvents:
     def test_removal_events_match_rewrite_stats(self):
         tracer = Tracer()
-        report = Session().optimize(FIGURE2_SOURCE, trace=tracer)
+        with use_tracer(tracer):
+            report = Session().optimize(FIGURE2_SOURCE)
         stats = report.form.rewrite_stats
         removed = tracer.events_of_kind("pi-arg-removed")
         assert len(removed) == stats.args_removed == 5
@@ -38,21 +39,24 @@ class TestPipelineEvents:
 
     def test_removal_reasons_are_theorems(self):
         tracer = Tracer()
-        Session().analyze(FIGURE1_SOURCE, trace=tracer)
+        with use_tracer(tracer):
+            Session().analyze(FIGURE1_SOURCE)
         for event in tracer.events_of_kind("pi-arg-removed"):
             assert event.reason in ("not-upward-exposed", "does-not-reach-exit")
             assert event.lock == "L"
 
     def test_mutex_body_events_match_form(self):
         tracer = Tracer()
-        form = Session().analyze(FIGURE2_SOURCE, trace=tracer)
+        with use_tracer(tracer):
+            form = Session().analyze(FIGURE2_SOURCE)
         bodies = tracer.events_of_kind("mutex-body")
         assert len(bodies) == len(form.mutex_bodies()) == 2
         assert {e.lock for e in bodies} == {"L"}
 
     def test_pass_spans_and_events(self):
         tracer = Tracer()
-        Session().optimize(FIGURE2_SOURCE, trace=tracer)
+        with use_tracer(tracer):
+            Session().optimize(FIGURE2_SOURCE)
         span_names = [s.name for s in tracer.spans()]
         for name in ("optimize", "build-cssame", "pass:constprop",
                      "pass:pdce", "pass:licm"):
@@ -66,8 +70,10 @@ class TestPipelineEvents:
     def test_event_sequence_is_deterministic(self):
         """Two identical runs differ only in timestamps."""
         t1, t2 = Tracer(), Tracer()
-        Session().optimize(FIGURE2_SOURCE, trace=t1)
-        Session().optimize(FIGURE2_SOURCE, trace=t2)
+        with use_tracer(t1):
+            Session().optimize(FIGURE2_SOURCE)
+        with use_tracer(t2):
+            Session().optimize(FIGURE2_SOURCE)
         assert _event_payloads(t1) == _event_payloads(t2)
         assert [s.name for s in t1.spans()] == [s.name for s in t2.spans()]
         assert [s.attrs for s in t1.spans()] == [s.attrs for s in t2.spans()]
@@ -80,7 +86,8 @@ class TestPipelineEvents:
 
     def test_diagnose_span(self):
         tracer = Tracer()
-        Session().diagnose(FIGURE2_SOURCE, trace=tracer)
+        with use_tracer(tracer):
+            Session().diagnose(FIGURE2_SOURCE)
         span = tracer.span_named("diagnose")
         assert span is not None
         assert span.attrs == {"warnings": 0, "races": 0}

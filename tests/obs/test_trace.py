@@ -1,5 +1,7 @@
-"""Tracer core: spans, events, the global no-op default, overhead."""
+"""Tracer core: spans, events, the no-op default, context scope, overhead."""
 
+import contextvars
+import threading
 from time import perf_counter
 
 import pytest
@@ -34,7 +36,7 @@ class TestNullTracer:
         assert NULL_TRACER.metrics.as_dict() == {"counters": {}, "histograms": {}}
 
     def test_pipeline_run_adds_no_events(self):
-        """An untraced optimize journey leaves the global tracer empty."""
+        """An untraced optimize journey leaves the ambient tracer empty."""
         Session().optimize(FIGURE2_SOURCE)
         tracer = get_tracer()
         assert tracer.records == ()
@@ -51,7 +53,8 @@ class TestNullTracer:
             _timed(lambda: Session().optimize(FIGURE2_SOURCE)) for _ in range(5)
         )
         probe = Tracer()
-        Session().optimize(FIGURE2_SOURCE, trace=probe)
+        with use_tracer(probe):
+            Session().optimize(FIGURE2_SOURCE)
         sites = len(probe.records)
 
         iters = 20_000
@@ -147,3 +150,60 @@ class TestGlobalInstallation:
     def test_use_tracer_none_means_noop(self):
         with use_tracer(None):
             assert not get_tracer().enabled
+
+
+class TestContextScope:
+    """The ambient tracer belongs to the current context, not the process."""
+
+    def _in_thread(self, target):
+        out = []
+        thread = threading.Thread(target=lambda: out.append(target()))
+        thread.start()
+        thread.join()
+        return out[0]
+
+    def test_new_thread_starts_untraced(self):
+        with use_tracer(Tracer()):
+            assert self._in_thread(get_tracer) is NULL_TRACER
+
+    def test_copied_context_carries_the_tracer(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            context = contextvars.copy_context()
+        assert get_tracer() is NULL_TRACER
+        assert self._in_thread(lambda: context.run(get_tracer)) is tracer
+
+    def test_a_thread_scope_does_not_leak(self):
+        tracer = Tracer()
+
+        def scoped():
+            with use_tracer(tracer):
+                barrier.wait()  # the main thread reads while this is open
+                barrier.wait()
+
+        barrier = threading.Barrier(2)
+        thread = threading.Thread(target=scoped)
+        thread.start()
+        barrier.wait()
+        assert get_tracer() is NULL_TRACER
+        barrier.wait()
+        thread.join()
+
+    def test_concurrent_absorbs_keep_every_increment(self):
+        target = Tracer()
+        donors = []
+        for _ in range(8):
+            donor = Tracer()
+            donor.counter("work.test.units").inc(1_000)
+            with donor.span("request"):
+                pass
+            donors.append(donor)
+        threads = [
+            threading.Thread(target=target.absorb, args=(d,)) for d in donors
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert target.metrics.counters["work.test.units"].value == 8_000
+        assert len(target.spans()) == 8

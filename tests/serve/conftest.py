@@ -8,6 +8,7 @@ and drains it at teardown.  Tests talk to it over real sockets with
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from pathlib import Path
 
@@ -27,14 +28,20 @@ def example_sources() -> dict[str, str]:
 
 
 class ServerHarness:
-    """A live server on a daemon thread, stopped by graceful drain."""
+    """A live server on a daemon thread, stopped by graceful drain.
+
+    The thread runs in a copy of the creator's context, so a server
+    built inside ``use_tracer(t)`` records every request into ``t``.
+    """
 
     def __init__(self, **kwargs) -> None:
         kwargs.setdefault("port", 0)
         self.server = CompileServer(**kwargs)
         self._ready = threading.Event()
         self._thread = threading.Thread(
-            target=self.server.run, args=(self._on_ready,), daemon=True
+            target=contextvars.copy_context().run,
+            args=(self.server.run, self._on_ready),
+            daemon=True,
         )
 
     def _on_ready(self, host: str, port: int) -> None:

@@ -185,10 +185,11 @@ class TestFacadeSurface:
         assert result.artifacts["dot"] == expected
 
     def test_pfg_dot_accepts_trace(self):
-        from repro.obs.trace import Tracer
+        from repro.obs.trace import Tracer, use_tracer
 
         tracer = Tracer()
-        Session().dot(FIGURE2_SOURCE, trace=tracer)
+        with use_tracer(tracer):
+            Session().dot(FIGURE2_SOURCE)
         assert any(s.name == "build-cssame" for s in tracer.spans())
 
     def test_optimize_pass_variants_match_legacy(self):

@@ -125,8 +125,9 @@ class TestTracing:
     def test_stage_spans_carry_cache_hit_attribute(self):
         session = Session()
         tracer = Tracer()
-        session.analyze(FIGURE2_SOURCE, trace=tracer)
-        session.analyze(FIGURE2_SOURCE, trace=tracer)
+        with use_tracer(tracer):
+            session.analyze(FIGURE2_SOURCE)
+            session.analyze(FIGURE2_SOURCE)
         stage_spans = [
             s for s in tracer.spans() if s.name == "stage:cssame"
         ]
