@@ -145,16 +145,25 @@ def identify_mutex_structures(
         ops = _Grid(domtree, pdomtree, locks + unlocks)
 
         # Phase 2: candidate pairing (Definition 3, conditions 1–2).
-        # Only the Unlocks in n's dominator interval can pair with n;
-        # visiting them in list order keeps the candidate order.
-        unlock_rank = {x: i for i, x in enumerate(unlocks)}
+        # Only the Unlocks in n's dominator interval can pair with n.
+        # Those that post-dominate n lie on n's post-dominator chain,
+        # and the nearest of them lies inside the rectangle of every
+        # farther one, so condition 3 rejects all but the nearest: it
+        # is n's one candidate (the lemma beside A.1 in ALGORITHMS.md).
+        unlocks_set = set(unlocks)
         candidates: list[tuple[int, int]] = []
         for n in locks:
-            dominated = [x for x in ops.dominated_by(n) if x in unlock_rank]
-            for x in sorted(dominated, key=unlock_rank.__getitem__):
+            nearest, nearest_tin = None, -1
+            for x in ops.dominated_by(n):
+                if x not in unlocks_set:
+                    continue
                 pairs_examined += 1
                 if pdomtree.dominates(x, n):
-                    candidates.append((n, x))
+                    tin = pdomtree.interval(x)[0]
+                    if tin > nearest_tin:
+                        nearest, nearest_tin = x, tin
+            if nearest is not None:
+                candidates.append((n, nearest))
 
         # Phase 3: drop candidates containing other Lock/Unlock(L) ops
         # (Definition 3, condition 3 / A.1 lines 19–26).  The rectangle
