@@ -146,16 +146,16 @@ def _run_analyze(sess: Session, source: str, opts: dict):
 
 
 def _run_diagnostics(sess: Session, source: str, opts: dict):
-    warnings, races = sess.diagnose(source)
+    warnings, races = sess.diagnose_classes(source)
     frames = [
         {"kind": w.kind, "message": w.message, "blocks": list(w.blocks)}
         for w in warnings
     ]
+    # One frame per race class; the count stays the expanded pair count.
     frames += [
-        {"kind": "race", "message": r.message(), "race": r.as_dict()}
-        for r in races
+        {"kind": "race", "message": c.message(), "race": c.as_dict()} for c in races
     ]
-    artifacts = {"warnings": len(warnings), "races": len(races)}
+    artifacts = {"warnings": len(warnings), "races": races.pairs}
     return artifacts, tuple(frames)
 
 

@@ -17,6 +17,7 @@ definition and use in the graph.  From them we derive:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator, Optional
 
 from repro.cfg.blocks import NodeKind
@@ -141,7 +142,7 @@ class AccessRelation:
       order: the block-level view of ``parallel(var, path)``.
 
     Shared variables, the PFG conflict edges and the Section 6 races
-    (:func:`repro.mutex.races.detect_races`) read the block-level
+    (:func:`repro.mutex.races.detect_race_classes`) read the block-level
     lists; π placement, CSCC, LVN and LICM read the sites.  The block
     lists are built up front and hold only ids, flags and thread paths:
     they pickle, and later edits to the program do not change them.
@@ -237,8 +238,26 @@ class AccessRelation:
     def count_conflict_edges(self) -> int:
         """``len(self.conflict_edges())`` without building the edges, for
         the traced ``cssa`` record: building them only when tracing would
-        charge the ``cssa`` span for work untraced runs never do."""
-        return sum(1 for _ in self._edges())
+        charge the ``cssa`` span for work untraced runs never do.
+
+        Each write block ``d`` has a DU edge per read concurrent with it
+        and a DD edge per concurrent write block ``b > d``; the writes
+        of a ``concurrent`` list are in ascending block order."""
+        total = 0
+        for var, writes in self.writes.items():
+            concurrent = self.concurrent[var]
+            #: thread path → (reads, ascending write blocks) in parallel
+            counts: dict[tuple, tuple[int, list[int]]] = {}
+            for d in writes:
+                path = self.paths[d]
+                found = counts.get(path)
+                if found is None:
+                    accesses = concurrent[path]
+                    defs = [b for b, is_def in accesses if is_def]
+                    found = counts[path] = (len(accesses) - len(defs), defs)
+                reads, defs = found
+                total += reads + len(defs) - bisect_right(defs, d)
+        return total
 
 
 def shared_variables(

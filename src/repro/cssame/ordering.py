@@ -61,7 +61,7 @@ class EventOrdering:
 
     def __init__(self, graph: FlowGraph, domtree: Optional[DominatorTree] = None) -> None:
         self.graph = graph
-        self.domtree = domtree or compute_dominators(graph)
+        self._domtree = domtree
         #: event name → list of SET block ids
         self.set_nodes: dict[str, list[int]] = {}
         #: event name → list of WAIT block ids
@@ -89,6 +89,14 @@ class EventOrdering:
                 continue  # cyclic barrier: arrivals repeat
             self.barrier_nodes[name] = blocks
         self._memo: dict[tuple[int, int], bool] = {}
+
+    @property
+    def domtree(self) -> DominatorTree:
+        """The graph's dominator tree, computed by the first query that
+        needs it: a graph with no event or barrier node often has none."""
+        if self._domtree is None:
+            self._domtree = compute_dominators(self.graph)
+        return self._domtree
 
     def _in_cycle(self, block_id: int) -> bool:
         """Can this block reach itself along control edges?"""

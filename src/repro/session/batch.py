@@ -47,7 +47,10 @@ class FileResult:
     error: Optional[str] = None
     #: rendered Section 6 findings
     warnings: list = field(default_factory=list)
+    #: one line per race class, as ``repro diagnose`` prints them
     races: list = field(default_factory=list)
+    #: racing block pairs over all the classes
+    race_pairs: int = 0
     #: FormMetrics of the CSSAME program (statements, pi/phi counts, ...)
     metrics: dict = field(default_factory=dict)
     #: optimization stats, when the batch ran with ``optimize=True``
@@ -62,7 +65,7 @@ class FileResult:
         parts = [
             f"pi_terms={self.metrics.get('pi_terms', 0)}",
             f"warnings={len(self.warnings)}",
-            f"races={len(self.races)}",
+            f"races={self.race_pairs}",
         ]
         if self.optimize is not None:
             parts.append(
@@ -85,12 +88,13 @@ def _process_file(
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
         form = own.analyze(source, prune=prune)
-        warnings, races = own.diagnose(source)
+        warnings, races = own.diagnose_classes(source)
         result = FileResult(
             path=path,
             ok=True,
             warnings=[f"[{w.kind}] {w.message}" for w in warnings],
-            races=[r.message() for r in races],
+            races=[c.message() for c in races],
+            race_pairs=races.pairs,
             metrics=measure_form(form.program).as_dict(),
         )
         if optimize:

@@ -24,7 +24,8 @@ Sharing rules (what a caller may do with a returned artifact):
   treat it as read-only.  The session guarantees its own stages never
   corrupt each other (copy-on-write inside the stage graph), but a
   caller who mutates a shared form sees their edits on the next hit.
-* :meth:`diagnose` returns fresh lists (of shared, immutable findings).
+* :meth:`diagnose` returns fresh lists (of shared, immutable findings);
+  :meth:`diagnose_classes` the cached race classes — read-only.
 
 Tracing: every stage lookup runs under a ``stage:<name>`` span carrying
 a ``cache_hit`` attribute, and bumps the ``session.cache.hit`` /
@@ -44,7 +45,7 @@ from typing import Any, Mapping, Optional
 
 from repro.cssame.builder import CSSAMEForm
 from repro.ir.structured import ProgramIR, clone_program
-from repro.mutex.races import RaceReport
+from repro.mutex.races import RaceClasses, RaceReport
 from repro.mutex.warnings import SyncWarning
 from repro.obs.trace import get_tracer
 from repro.opt.pipeline import DEFAULT_PASSES, OptimizationReport
@@ -172,9 +173,17 @@ class Session:
         )
 
     def diagnose(self, source: str) -> tuple[list[SyncWarning], list[RaceReport]]:
-        """Section 6 diagnostics (sync warnings + potential races)."""
+        """Section 6 diagnostics (sync warnings + potential races), one
+        :class:`RaceReport` per racing block pair."""
+        warnings, races = self.diagnose_classes(source)
+        return warnings, races.expand()
+
+    def diagnose_classes(self, source: str) -> tuple[list[SyncWarning], RaceClasses]:
+        """Section 6 diagnostics with the races by (variable, kind,
+        lockset pair) class: the cached :class:`RaceClasses`, to be
+        treated as read-only."""
         warnings, races = self._artifact("diagnostics", source, {})
-        return list(warnings), list(races)
+        return list(warnings), races
 
     def optimize(
         self,

@@ -45,7 +45,7 @@ from repro.ir.lower import lower_program
 from repro.ir.structured import clone_program
 from repro.lang.parser import parse
 from repro.mutex.deadlock import detect_lock_order_cycles
-from repro.mutex.races import detect_races
+from repro.mutex.races import detect_race_classes
 from repro.mutex.warnings import SyncWarning, check_synchronization
 from repro.obs.trace import get_tracer
 from repro.opt.pipeline import DEFAULT_PASSES, optimize
@@ -107,16 +107,17 @@ def _compute_cssame(ir, options: Mapping[str, Any]):
 def _compute_diagnostics(form, options: Mapping[str, Any]):
     """Section 6 diagnostics over the (unpruned) CSSA form.
 
-    Returns ``(warnings, races)``; the lists are treated as immutable
-    once cached — the session hands out shallow copies.
+    Returns ``(warnings, races)``, the races as
+    :class:`~repro.mutex.races.RaceClasses`; both are treated as
+    immutable once cached — the session hands out copies.
     """
     with get_tracer().span("diagnose") as span:
         warnings = check_synchronization(form.graph, form.structures)
         for risk in detect_lock_order_cycles(form.graph, form.structures):
             blocks = tuple(b for bs in risk.witnesses.values() for b in bs)
             warnings.append(SyncWarning("deadlock-risk", risk.message(), blocks))
-        races = detect_races(form.graph, form.structures)
-        span.set(warnings=len(warnings), races=len(races))
+        races = detect_race_classes(form.graph, form.structures)
+        span.set(warnings=len(warnings), races=races.pairs)
     return warnings, races
 
 

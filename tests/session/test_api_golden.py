@@ -23,7 +23,7 @@ from repro.ir.lower import lower_program
 from repro.ir.printer import format_ir
 from repro.lang.parser import parse
 from repro.mutex.deadlock import detect_lock_order_cycles
-from repro.mutex.races import detect_races
+from repro.mutex.races import SAMPLE_PAIRS, detect_races
 from repro.mutex.warnings import SyncWarning, check_synchronization
 from repro.opt.pipeline import optimize
 from repro.report import measure_form
@@ -64,6 +64,27 @@ def legacy_diagnose(source):
         warnings.append(SyncWarning("deadlock-risk", risk.message(), blocks))
     races = detect_races(form.graph, form.structures)
     return warnings, races
+
+
+def group_races(races):
+    """The per-pair race list grouped by (var, kind, locks_a, locks_b)
+    in first-occurrence order, as wire race objects: the count and the
+    first block pairs of each group."""
+    groups = {}
+    for r in races:
+        key = (r.var, r.kind, r.locks_a, r.locks_b)
+        groups.setdefault(key, []).append([r.block_a, r.block_b])
+    return [
+        {
+            "var": var,
+            "kind": kind,
+            "locks_a": sorted(locks_a),
+            "locks_b": sorted(locks_b),
+            "pairs": len(pairs),
+            "sample": pairs[:SAMPLE_PAIRS],
+        }
+        for (var, kind, locks_a, locks_b), pairs in groups.items()
+    ]
 
 
 def legacy_dot(source, title="PFG"):
@@ -130,7 +151,8 @@ class TestGoldenEquivalence:
             assert [(w["kind"], w["message"]) for w in result.warnings] == (
                 warning_lines
             )
-            assert [r["message"] for r in result.races] == race_lines
+            assert [r["race"] for r in result.races] == group_races(expected_races)
+            assert result.artifacts["races"] == len(expected_races)
 
     def test_optimize(self, name, warm_session):
         expected = legacy_optimize(CORPUS[name])
