@@ -11,11 +11,10 @@ Two claims of the ``repro.session`` redesign, quantified:
    cache walk), and a two-sweep service pattern (*amortized*).  The
    acceptance bar is ≥2× for the steady and amortized journeys.
 2. **The batch driver isolates and scales.**  ``BatchSession`` over a
-   replicated examples corpus: serial vs. thread pool (GIL-bound, so
-   ~1× on a pure-Python pipeline — reported to keep us honest) vs.
-   process pool (real parallelism when the hardware has cores; the
-   speedup assertion is gated on ``os.cpu_count() >= 2``, and the
-   observed value is always recorded).
+   replicated examples corpus: serial vs. process pools (real
+   parallelism when the hardware has cores; the speedup assertion is
+   gated on ``os.cpu_count() >= 2``, and the observed value is always
+   recorded).
 """
 
 import glob
@@ -106,13 +105,12 @@ def measure_batch() -> dict:
         files = _replicated_corpus(tmp)
         timings = {}
         baseline_results = None
-        for label, jobs, executor in (
-            ("serial", 1, "serial"),
-            ("thread_x2", 2, "thread"),
-            ("process_x2", 2, "process"),
-            ("process_x4", 4, "process"),
+        for label, jobs in (
+            ("serial", 1),
+            ("process_x2", 2),
+            ("process_x4", 4),
         ):
-            batch = BatchSession(jobs=jobs, executor=executor)
+            batch = BatchSession(jobs=jobs)
             t0 = perf_counter()
             results = batch.run_dir(tmp)
             timings[label] = perf_counter() - t0
@@ -126,7 +124,7 @@ def measure_batch() -> dict:
             if baseline_results is None:
                 baseline_results = summaries
             else:
-                # every executor returns identical, identically-ordered results
+                # every pool size returns identical, identically-ordered results
                 assert summaries == baseline_results
     serial = timings["serial"]
     return {

@@ -15,51 +15,10 @@ from repro.ir.lower import lower_program
 from repro.ir.structured import ProgramIR
 from repro.lang.parser import parse
 from repro.report import measure_form
+from repro.synth.workloads import paper_figure1_source, paper_figure2_source
 
-FIGURE2_SOURCE = """
-a = 0;
-b = 0;
-cobegin
-T0: begin
-    lock(L);
-    a = 5;
-    b = a + 3;
-    if (b > 4) {
-        a = a + b;
-    }
-    x = a;
-    unlock(L);
-end
-T1: begin
-    lock(L);
-    a = b + 6;
-    y = a;
-    unlock(L);
-end
-coend
-print(x);
-print(y);
-"""
-
-FIGURE1_SOURCE = """
-a = 1;
-b = 2;
-cobegin
-T0: begin
-    lock(L);
-    a = a + b;
-    unlock(L);
-end
-T1: begin
-    f(a);
-    lock(L);
-    a = 3;
-    b = b + g(a);
-    unlock(L);
-end
-coend
-print(a, b);
-"""
+FIGURE1_SOURCE = paper_figure1_source()
+FIGURE2_SOURCE = paper_figure2_source()
 
 
 def program_of(source: str) -> ProgramIR:

@@ -5,9 +5,9 @@ Commands
 
 ``analyze``   build the CSSAME (or, with ``--cssa``, plain CSSA) form
               and print the annotated listing plus form statistics.
-``batch``     analyze + diagnose every ``.par`` file under a directory
-              concurrently (``--jobs N``, ``--executor thread|process``)
-              through one shared artifact-cached session; one structured
+``batch``     analyze + diagnose every ``.par`` file under a directory,
+              serially through one artifact-cached session or, with
+              ``--jobs N`` above 1, in N worker processes; one structured
               result line per file, bad files isolated as errors.
 ``optimize``  run the Section 5 pipeline and print the optimized
               program (``--phases`` shows every intermediate listing).
@@ -29,10 +29,9 @@ Commands
 ``request``   one-shot client for ``serve``: send FILE to a running
               daemon (``--stage``; ``--json`` prints the full response
               frame) with jittered-backoff retries on overload.
-``stats``     run the pipeline under a tracer and print the per-pass
-              timing/decision/metrics tables.
-``profile``   run the pipeline under a tracer and print the per-phase
-              wall-time and deterministic work-counter tables.
+``profile``   run the pipeline under a tracer and print per-pass timing,
+              the A.3 removal decisions, the final form metrics, the
+              deterministic work counters and the other metrics.
 ``bench``     run the registered benchmarks (``--list`` to enumerate,
               ``--group`` to filter) with statistical timing, append a
               record to ``BENCH_history.jsonl``, and with ``--check``
@@ -72,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from repro import api
@@ -88,9 +88,8 @@ from repro.errors import (
 from repro.obs.export import TRACE_FORMATS, write_trace
 from repro.obs.trace import Tracer, get_tracer, use_tracer
 from repro.serve.protocol import DEFAULT_PORT as DEFAULT_SERVE_PORT
-from repro.opt.pipeline import optimize
 from repro.report import measure_form
-from repro.session.batch import BatchSession
+from repro.session import BatchSession, Session
 from repro.vm.explore import explore
 from repro.vm.machine import run_random
 
@@ -124,9 +123,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    program = front_end(_read_source(args.file))
-    report = optimize(
-        program,
+    report = Session().optimize(
+        _read_source(args.file),
         use_mutex=not args.cssa,
         fold_output_uses=not args.keep_prints,
     )
@@ -204,12 +202,19 @@ def _execution_as_dict(execution) -> dict:
     }
 
 
+def _executed_program(args: argparse.Namespace):
+    """The program ``run`` and ``explore`` execute: the source as
+    written or, with ``--optimize``, the optimization pipeline's output."""
+    source = _read_source(args.file)
+    if args.optimize:
+        return Session().optimize(source).program
+    return front_end(source)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    program = front_end(_read_source(args.file))
-    if args.optimize:
-        optimize(program)
+    program = _executed_program(args)
     execution = run_random(
         program, seed=args.seed, fuel=args.fuel, raise_on_deadlock=False
     )
@@ -228,10 +233,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    program = front_end(_read_source(args.file))
-    if args.optimize:
-        optimize(program)
-    result = explore(program, max_states=args.max_states)
+    result = explore(_executed_program(args), max_states=args.max_states)
     for outcome in sorted(result.outcomes):
         rendered = []
         for event in outcome:
@@ -255,7 +257,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     batch = BatchSession(
         jobs=args.jobs,
-        executor=args.executor,
         optimize=args.optimize,
         prune=not args.cssa,
     )
@@ -268,17 +269,18 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     errors = sum(1 for r in results if not r.ok)
     print(f"// {len(results)} file(s), {errors} error(s)")
     if args.cache_stats:
-        stats = batch.session.cache_stats()
-        rows: list[tuple] = [
-            (stage, entry["hits"], entry["misses"])
-            for stage, entry in sorted(stats.by_stage.items())
-        ]
-        rows.append(("total", stats.hits, stats.misses))
+        # Each result carries its own journey's lookups, so the sum
+        # covers the whole run, in this process or in workers.
+        hits: Counter[str] = Counter()
+        misses: Counter[str] = Counter()
+        for result in results:
+            for stage, entry in result.cache.items():
+                hits[stage] += entry["hits"]
+                misses[stage] += entry["misses"]
+        rows = [(stage, hits[stage], misses[stage]) for stage in sorted(hits)]
+        rows.append(("total", sum(hits.values()), sum(misses.values())))
         print()
         _print_table("artifact cache", ["stage", "hits", "misses"], rows)
-        if batch.executor == "process":
-            print("// note: process workers keep per-process caches; "
-                  "this table covers the coordinator only")
     return 1 if errors and args.strict else 0
 
 
@@ -303,14 +305,23 @@ def _print_table(title: str, headers: list[str], rows: list[tuple]) -> None:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    """Run the pipeline under a tracer; print timing + decision tables."""
+def _cmd_profile(args: argparse.Namespace) -> int:
+    """Run the pipeline under a tracer; print timing, decision, form,
+    work-counter and metrics tables."""
+    import json
+
+    from repro.obs.prof import WORK_PREFIX, profile_source
+
     source = _read_source(args.file)
-    tracer = get_tracer()
-    if not tracer.enabled:  # no --trace given: use a local tracer
-        tracer = Tracer()
-    with use_tracer(tracer):
-        report = optimize(front_end(source), use_mutex=not args.cssa)
+    ambient = get_tracer()
+    # Reuse the --trace tracer so the run can be exported (e.g. as a
+    # flamegraph via --trace-format flame); otherwise profile privately.
+    profile = profile_source(
+        source,
+        use_mutex=not args.cssa,
+        tracer=ambient if ambient.enabled else None,
+    )
+    tracer = profile.tracer
 
     rows = [
         (
@@ -332,77 +343,57 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
 
     print()
-    metrics = measure_form(report.program).as_dict()
+    metrics = measure_form(profile.report.program).as_dict()
     _print_table(
         "final form metrics",
         ["metric", "value"],
         sorted(metrics.items()),
     )
-    counters = tracer.metrics.as_dict()["counters"]
+
+    print()
+    _print_table(
+        "deterministic work counters",
+        ["phase", "metric", "ops"],
+        [
+            (phase, metric, value)
+            for phase, counts in sorted(profile.phases.items())
+            for metric, value in sorted(counts.items())
+        ],
+    )
+    print(f"// total work: {profile.total()} op(s)")
+
+    counters = {
+        name: value
+        for name, value in tracer.metrics.as_dict()["counters"].items()
+        if not name.startswith(WORK_PREFIX)
+    }
     if counters:
         print()
         _print_table("counters", ["counter", "value"], sorted(counters.items()))
     # Span durations as a distribution: the percentile columns make
-    # outlier passes visible at a glance (satellite of the VM's
-    # lock-hold histograms, which land here too when present).
+    # outlier passes visible at a glance (the VM's lock-hold histograms
+    # land here too when present).
     span_hist = tracer.metrics.histogram("span_wall_ms")
     for span in tracer.spans():
         span_hist.observe(span.duration * 1e3)
     histograms = tracer.metrics.as_dict()["histograms"]
-    if histograms:
-        print()
-        _print_table(
-            "histograms",
-            ["histogram", "n", "min", "p50", "p90", "p99", "max"],
-            [
-                (
-                    name,
-                    s["count"],
-                    f"{s['min']:g}",
-                    f"{s['p50']:g}",
-                    f"{s['p90']:g}",
-                    f"{s['p99']:g}",
-                    f"{s['max']:g}",
-                )
-                for name, s in sorted(histograms.items())
-            ],
-        )
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Per-phase wall-time and deterministic work-counter tables."""
-    import json
-
-    from repro.obs.prof import profile_source
-
-    source = _read_source(args.file)
-    ambient = get_tracer()
-    # Reuse the --trace tracer so the run can be exported (e.g. as a
-    # flamegraph via --trace-format flame); otherwise profile privately.
-    tracer = ambient if ambient.enabled else None
-    profile = profile_source(source, use_mutex=not args.cssa, tracer=tracer)
-
-    wall: dict[str, list[float]] = {}
-    for span in profile.tracer.spans():
-        wall.setdefault(span.name, []).append(span.duration * 1e3)
+    print()
     _print_table(
-        "per-phase wall time",
-        ["phase", "calls", "total_ms"],
+        "histograms",
+        ["histogram", "n", "min", "p50", "p90", "p99", "max"],
         [
-            (name, len(samples), f"{sum(samples):.3f}")
-            for name, samples in sorted(wall.items())
+            (
+                name,
+                h["count"],
+                f"{h['min']:g}",
+                f"{h['p50']:g}",
+                f"{h['p90']:g}",
+                f"{h['p99']:g}",
+                f"{h['max']:g}",
+            )
+            for name, h in sorted(histograms.items())
         ],
     )
-
-    print()
-    rows = [
-        (phase, metric, value)
-        for phase, metrics in sorted(profile.phases.items())
-        for metric, value in sorted(metrics.items())
-    ]
-    _print_table("deterministic work counters", ["phase", "metric", "ops"], rows)
-    print(f"// total work: {profile.total()} op(s)")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(profile.as_dict(), handle, indent=2, sort_keys=True)
@@ -774,13 +765,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker count (default: 1 = serial; only a serial run "
-             "records into --trace)",
-    )
-    p.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="pool kind for --jobs > 1 (default: thread, shares the "
-             "artifact cache; process buys real CPU parallelism)",
+        help="worker processes (default: 1 = serial in this process; "
+             "only a serial run records into --trace)",
     )
     p.add_argument(
         "--optimize", action="store_true",
@@ -855,17 +841,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser(
-        "stats",
-        help="per-pass timing and decision tables for the pipeline",
-        parents=[tracing],
-    )
-    p.add_argument("file")
-    p.add_argument("--cssa", action="store_true", help="use plain CSSA")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser(
         "profile",
-        help="per-phase wall-time and deterministic work-counter tables",
+        help="per-pass timing, A.3 decisions and work-counter tables",
         parents=[tracing],
     )
     p.add_argument("file")

@@ -25,9 +25,7 @@ counter — the same convention visible in the paper's figures.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.cfg.conflicts import AccessRelation, collect_access_sites
+from repro.cfg.conflicts import AccessRelation
 from repro.cfg.graph import FlowGraph
 from repro.errors import SSAError
 from repro.ir.expr import EVar
@@ -79,15 +77,12 @@ def _structural_insert_before(
 def place_pi_terms(
     program: ProgramIR,
     graph: FlowGraph,
-    accesses: Optional[AccessRelation] = None,
+    accesses: AccessRelation,
 ) -> list[Pi]:
     """Insert π terms for every conflicting use; returns them.
 
-    ``accesses`` is the graph's access relation when the caller has
-    already built it.
+    ``accesses`` is the graph's access relation.
     """
-    if accesses is None:
-        accesses = AccessRelation(graph, collect_access_sites(graph))
     shared = accesses.shared()
     # The π conflict set of (v, thread path), built once and shared by
     # every π of v on that path.

@@ -214,8 +214,9 @@ def audit_program(
     functions: Optional[Callable[[str, list[int]], int]] = None,
     explore_states: int = 20_000,
     do_explore: bool = True,
-    graph=None,
-    access_sites: Optional[dict] = None,
+    *,
+    graph,
+    access_sites: dict,
     conflict_vars: Iterable[str] = (),
 ) -> AuditReport:
     """Cross-validate ``static_races`` against ``runs`` traced schedules.
@@ -300,9 +301,8 @@ def audit_program(
             )
             continue
         scope = SCOPE_MONITORED
-        if graph is not None and access_sites is not None and (
-            observable_only(static.var, static.block_a)
-            or observable_only(static.var, static.block_b)
+        if observable_only(static.var, static.block_a) or observable_only(
+            static.var, static.block_b
         ):
             scope = SCOPE_OBSERVABLE
         report.findings.append(StaticRaceFinding(static, UNCONFIRMED, scope))

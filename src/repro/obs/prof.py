@@ -117,22 +117,16 @@ class WorkProfile:
 
 def profile_source(
     source: str,
-    passes: Optional[tuple[str, ...]] = None,
     use_mutex: bool = True,
     tracer: Optional[Tracer] = None,
 ) -> WorkProfile:
-    """Run the optimization pipeline on ``source`` under a fresh tracer
-    and return its :class:`WorkProfile` (wall times + work counters).
-    ``passes`` defaults to the paper's pipeline.
+    """Run the paper's optimization pipeline on ``source`` through a
+    fresh :class:`~repro.session.Session`, under ``tracer`` (a fresh
+    one by default), and return its :class:`WorkProfile`.
     """
-    from repro.opt.pipeline import DEFAULT_PASSES
     from repro.session import Session
 
     tracer = tracer if tracer is not None else Tracer()
     with use_tracer(tracer):
-        report = Session().optimize(
-            source,
-            passes=DEFAULT_PASSES if passes is None else passes,
-            use_mutex=use_mutex,
-        )
+        report = Session().optimize(source, use_mutex=use_mutex)
     return WorkProfile(tracer, report)

@@ -26,7 +26,7 @@ import contextlib
 import threading
 from contextvars import ContextVar
 from time import perf_counter
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.obs.events import Event
 from repro.obs.metrics import (
@@ -112,16 +112,15 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, clock: Callable[[], float] = perf_counter) -> None:
+    def __init__(self) -> None:
         self.records: list[Union[Span, Event]] = []
         self.metrics = MetricsRegistry()
         self._stack: list[Span] = []
-        self._clock = clock
-        self._epoch = clock()
+        self._epoch = perf_counter()
         self._absorb_lock = threading.Lock()
 
     def _now(self) -> float:
-        return self._clock() - self._epoch
+        return perf_counter() - self._epoch
 
     @contextlib.contextmanager
     def span(self, name: str, **attrs) -> Iterator[Span]:

@@ -1,20 +1,23 @@
-"""Parallel corpus driver: analyze + diagnose a directory of ``.par`` files.
+"""Corpus driver: analyze + diagnose a directory of ``.par`` files.
 
-:class:`BatchSession` fans a corpus out over a ``concurrent.futures``
-pool (``executor="thread"`` shares one artifact cache across workers,
-``executor="process"`` buys real CPU parallelism for the pure-Python
-pipeline at the cost of per-process caches) and collects one
-:class:`FileResult` per input **in the order the inputs were given**,
-regardless of completion order.
+:class:`BatchSession` runs a corpus serially in this process, through
+one shared artifact-cached :class:`Session`, or, for ``jobs`` above 1,
+over a ``concurrent.futures`` process pool (real CPU parallelism for
+the pure-Python pipeline; each file gets a fresh session in its
+worker).  A thread pool buys nothing here: the interpreter lock
+serializes the pipeline, and on a 96-file corpus it lost to the serial
+path.  Either way it collects one :class:`FileResult` per input **in
+the order the inputs were given**, regardless of completion order, and
+each result carries the artifact-cache lookups its journey made, so
+the per-stage totals cover the whole run whichever way it ran.
 
 Error isolation: a file that fails to read, parse, or analyze yields a
 ``FileResult`` whose ``error`` field carries the structured message —
 it never kills the batch and never disturbs its neighbours' results.
 
-Tracing: pool workers start untraced.  The pipeline records straight
-into the ambient tracer (:func:`repro.obs.trace.use_tracer`), whose
-span stack one thread at a time may use, so only a serial batch
-(``jobs=1``) records into it.
+Tracing: pool workers start untraced, so only a serial batch
+(``jobs=1``) records into the ambient tracer
+(:func:`repro.obs.trace.use_tracer`).
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from repro.report import measure_form
 from repro.session.session import Session
 
 __all__ = ["BatchSession", "FileResult"]
-
-_EXECUTORS = ("serial", "thread", "process")
 
 
 @dataclass
@@ -57,6 +58,9 @@ class FileResult:
     optimize: Optional[dict] = None
     #: wall seconds this file took inside its worker
     duration: float = 0.0
+    #: artifact-cache lookups of this file's journey, stage →
+    #: ``{"hits": n, "misses": n}``
+    cache: dict = field(default_factory=dict)
 
     def summary(self) -> str:
         """One status line, the shape ``repro batch`` prints."""
@@ -75,6 +79,18 @@ class FileResult:
         return f"{self.path}: ok " + " ".join(parts)
 
 
+def _lookups_since(before: dict, session: Session) -> dict:
+    """Per-stage cache lookups ``session`` made since the ``before``
+    snapshot of its ``by_stage`` table."""
+    lookups = {}
+    for stage, entry in session.cache_stats().by_stage.items():
+        prior = before.get(stage, {"hits": 0, "misses": 0})
+        delta = {k: entry[k] - prior[k] for k in ("hits", "misses")}
+        if delta["hits"] or delta["misses"]:
+            lookups[stage] = delta
+    return lookups
+
+
 def _process_file(
     path: str,
     optimize: bool,
@@ -84,6 +100,7 @@ def _process_file(
     """Run one file's journey; module-level so process pools can pickle it."""
     t0 = perf_counter()
     own = session if session is not None else Session()
+    before = {k: dict(v) for k, v in own.cache_stats().by_stage.items()}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
@@ -105,53 +122,44 @@ def _process_file(
                 "moved": report.licm.total_moved,
             }
     except Exception as exc:  # noqa: BLE001 - isolation is the point
-        return FileResult(
-            path=path,
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            duration=perf_counter() - t0,
+        result = FileResult(
+            path=path, ok=False, error=f"{type(exc).__name__}: {exc}"
         )
+    result.cache = _lookups_since(before, own)
     result.duration = perf_counter() - t0
     return result
 
 
 class BatchSession:
-    """Analyze a corpus of ``.par`` files concurrently.
+    """Analyze a corpus of ``.par`` files.
 
     Parameters
     ----------
     jobs:
-        Worker count; ``None`` or ``1`` runs serially in-process (and
-        shares the session cache, which is also the deterministic
-        baseline the scaling benchmark compares against).
-    executor:
-        ``"thread"`` (default; shared cache, GIL-bound), ``"process"``
-        (true parallelism, per-worker caches, inputs must be files on
-        disk), or ``"serial"``.
+        ``None`` or ``1`` runs serially in this process on ``session``
+        (the deterministic baseline the scaling benchmark compares
+        against); a larger value runs that many worker processes, each
+        file on a fresh session (inputs must be files on disk).
     optimize:
         Also run the optimization pipeline per file and record its
         stats.
     prune:
         Build CSSAME (``True``, default) or plain CSSA forms.
     session:
-        The artifact-cache-bearing :class:`Session` shared by serial
-        and thread execution; a fresh one is created if omitted.
+        The artifact-cache-bearing :class:`Session` of serial runs; a
+        fresh one is created if omitted.
     """
 
     def __init__(
         self,
         jobs: Optional[int] = None,
-        executor: str = "thread",
         optimize: bool = False,
         prune: bool = True,
         session: Optional[Session] = None,
     ) -> None:
-        if executor not in _EXECUTORS:
-            raise ValueError(f"executor must be one of {_EXECUTORS}")
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs or 1
-        self.executor = "serial" if self.jobs == 1 else executor
         self.optimize = optimize
         self.prune = prune
         self.session = session if session is not None else Session()
@@ -168,23 +176,15 @@ class BatchSession:
     def run(self, paths: Sequence[str] | Iterable[str]) -> list[FileResult]:
         """One :class:`FileResult` per path, in input order."""
         paths = list(paths)
-        if self.executor == "serial":
+        if self.jobs == 1:
             return [
                 _process_file(p, self.optimize, self.prune, self.session)
                 for p in paths
             ]
-        if self.executor == "thread":
-            pool_cls = concurrent.futures.ThreadPoolExecutor
-            shared = self.session
-        else:
-            pool_cls = concurrent.futures.ProcessPoolExecutor
-            shared = None  # sessions don't cross process boundaries
         results: list[Optional[FileResult]] = [None] * len(paths)
-        with pool_cls(max_workers=self.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = {
-                pool.submit(
-                    _process_file, path, self.optimize, self.prune, shared
-                ): index
+                pool.submit(_process_file, path, self.optimize, self.prune): index
                 for index, path in enumerate(paths)
             }
             for future in concurrent.futures.as_completed(futures):

@@ -138,9 +138,10 @@ def _compute_dot(form, options: Mapping[str, Any]):
 
 
 def _compute_bytecode(ir, options: Mapping[str, Any]):
-    # compile_program only reads, but cloning keeps the invariant
-    # obvious and costs microseconds next to everything else.
-    return compile_program(clone_program(ir))
+    # compile_program only reads its input, so no copy: the bytecode
+    # shares the cached IR's expressions, which no stage mutates (the
+    # ones that rewrite work on clones, and front_end hands out clones).
+    return compile_program(ir)
 
 
 #: every stage in dependency order, under the name a compile request

@@ -18,7 +18,9 @@ from repro.synth.workloads import (
     licm_loop_padding,
     licm_padding,
     paper_figure1,
+    paper_figure1_source,
     paper_figure2,
+    paper_figure2_source,
     shared_counters,
 )
 
@@ -32,6 +34,8 @@ __all__ = [
     "licm_padding",
     "lock_density_sweep",
     "paper_figure1",
+    "paper_figure1_source",
     "paper_figure2",
+    "paper_figure2_source",
     "shared_counters",
 ]

@@ -12,7 +12,9 @@ __all__ = [
     "licm_padding",
     "lock_density_sweep",
     "paper_figure1",
+    "paper_figure1_source",
     "paper_figure2",
+    "paper_figure2_source",
     "shared_counters",
 ]
 
@@ -21,61 +23,72 @@ def _program(source: str) -> ProgramIR:
     return lower_program(parse(source))
 
 
+#: the paper's Figure 1 and Figure 2 programs, verbatim: tests pin
+#: line/column positions and source keys against this exact text
+_FIGURE1_SOURCE = """
+a = 1;
+b = 2;
+cobegin
+T0: begin
+    lock(L);
+    a = a + b;
+    unlock(L);
+end
+T1: begin
+    f(a);
+    lock(L);
+    a = 3;
+    b = b + g(a);
+    unlock(L);
+end
+coend
+print(a, b);
+"""
+
+_FIGURE2_SOURCE = """
+a = 0;
+b = 0;
+cobegin
+T0: begin
+    lock(L);
+    a = 5;
+    b = a + 3;
+    if (b > 4) {
+        a = a + b;
+    }
+    x = a;
+    unlock(L);
+end
+T1: begin
+    lock(L);
+    a = b + 6;
+    y = a;
+    unlock(L);
+end
+coend
+print(x);
+print(y);
+"""
+
+
+def paper_figure1_source() -> str:
+    """Source text of the paper's Figure 1 program."""
+    return _FIGURE1_SOURCE
+
+
+def paper_figure2_source() -> str:
+    """Source text of the paper's Figure 2 program (Figures 3–5 rework it)."""
+    return _FIGURE2_SOURCE
+
+
 def paper_figure1() -> ProgramIR:
     """The paper's Figure 1: mutual exclusion kills a cross-thread def."""
-    return _program(
-        """
-        a = 1;
-        b = 2;
-        cobegin
-        T0: begin
-            lock(L);
-            a = a + b;
-            unlock(L);
-        end
-        T1: begin
-            f(a);
-            lock(L);
-            a = 3;
-            b = b + g(a);
-            unlock(L);
-        end
-        coend
-        print(a, b);
-        """
-    )
+    return _program(_FIGURE1_SOURCE)
 
 
 def paper_figure2() -> ProgramIR:
     """The paper's Figure 2 / running example of Sections 4–5."""
-    return _program(paper_figure2_source())
-
-
-def paper_figure2_source() -> str:
-    return """
-        a = 0;
-        b = 0;
-        cobegin
-        T0: begin
-            lock(L);
-            a = 5;
-            b = a + 3;
-            if (b > 4) {
-                a = a + b;
-            }
-            x = a;
-            unlock(L);
-        end
-        T1: begin
-            lock(L);
-            a = b + 6;
-            y = a;
-            unlock(L);
-        end
-        coend
-        print(x);
-        print(y);
-        """
+    return _program(_FIGURE2_SOURCE)
 
 
 def bank_accounts(n_threads: int = 3, n_transfers: int = 3) -> ProgramIR:

@@ -1,4 +1,4 @@
-"""CLI observability surface: --trace/--trace-format, stats, --strict."""
+"""CLI observability surface: --trace/--trace-format, profile, --strict."""
 
 import json
 
@@ -26,8 +26,10 @@ def racy_file(tmp_path):
 
 
 class TestStatsCommand:
+    """The timing, decision and metrics tables of ``repro profile``."""
+
     def test_prints_timing_and_metrics_tables(self, fig2_file, capsys):
-        assert main(["stats", fig2_file]) == 0
+        assert main(["profile", fig2_file]) == 0
         out = capsys.readouterr().out
         assert "== per-pass timing ==" in out
         assert "wall_ms" in out
@@ -40,7 +42,7 @@ class TestStatsCommand:
         assert "cssame.args_removed" in out
 
     def test_cssa_mode_skips_rewrite(self, fig2_file, capsys):
-        assert main(["stats", "--cssa", fig2_file]) == 0
+        assert main(["profile", "--cssa", fig2_file]) == 0
         out = capsys.readouterr().out
         assert "rewrite-pi" not in out
         assert "pass:constprop" in out

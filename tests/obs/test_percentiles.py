@@ -51,7 +51,7 @@ def test_stats_command_prints_histogram_table(tmp_path, capsys):
 
     source = tmp_path / "p.par"
     source.write_text(FIGURE2_SOURCE)
-    assert main(["stats", str(source)]) == 0
+    assert main(["profile", str(source)]) == 0
     out = capsys.readouterr().out
     assert "== histograms ==" in out
     assert "span_wall_ms" in out

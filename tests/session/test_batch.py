@@ -1,4 +1,4 @@
-"""BatchSession: ordering, error isolation, executor parity."""
+"""BatchSession: ordering, error isolation, serial/process parity."""
 
 import os
 
@@ -68,10 +68,10 @@ class TestSerial:
 
 
 class TestParallel:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_executors_match_serial(self, corpus, executor):
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_executors_match_serial(self, corpus, jobs):
         serial = BatchSession(jobs=1).run(_paths(corpus))
-        parallel = BatchSession(jobs=3, executor=executor).run(_paths(corpus))
+        parallel = BatchSession(jobs=jobs).run(_paths(corpus))
         assert [r.path for r in parallel] == [r.path for r in serial]
         for s, p in zip(serial, parallel):
             assert (s.ok, s.error, s.warnings, s.races, s.metrics) == (
@@ -85,18 +85,8 @@ class TestParallel:
         assert results[0].optimize is not None
         assert results[0].optimize["removed"] >= 1
 
-    def test_thread_pool_shares_one_cache(self, corpus):
-        session = Session()
-        paths = [os.path.join(corpus, "a_fig2.par")] * 4
-        BatchSession(jobs=2, executor="thread", session=session).run(paths)
-        assert session.cache_stats().hits > 0
-
 
 class TestValidation:
-    def test_bad_executor(self):
-        with pytest.raises(ValueError):
-            BatchSession(executor="rocket")
-
     def test_bad_jobs(self):
         with pytest.raises(ValueError):
             BatchSession(jobs=0)
@@ -109,3 +99,23 @@ class TestValidation:
     def test_file_result_shape(self):
         result = FileResult(path="x.par", ok=False, error="boom")
         assert result.warnings == [] and result.metrics == {}
+
+
+class TestCacheLookups:
+    def test_process_pool_reports_the_serial_lookups(self, corpus):
+        # No two files share an artifact, so every file makes the same
+        # lookups on a shared session as on a worker's fresh one.
+        serial = BatchSession(jobs=1).run(_paths(corpus))
+        pooled = BatchSession(jobs=2).run(_paths(corpus))
+        assert [r.cache for r in pooled] == [r.cache for r in serial]
+        assert serial[0].cache["ast"] == {"hits": 0, "misses": 1}
+        assert "diagnostics" in serial[0].cache
+        # the broken file's journey missed its way down to the parse
+        miss = {"hits": 0, "misses": 1}
+        assert serial[-1].cache == {"cssame": miss, "ir": miss, "ast": miss}
+
+    def test_repeat_on_a_shared_session_is_all_hits(self, corpus):
+        path = os.path.join(corpus, "a_fig2.par")
+        first, again = BatchSession(jobs=1).run([path, path])
+        assert sum(e["misses"] for e in first.cache.values()) > 0
+        assert sum(e["misses"] for e in again.cache.values()) == 0

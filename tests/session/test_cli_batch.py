@@ -26,8 +26,7 @@ class TestBatch:
         assert "// 2 file(s)" in capsys.readouterr().out
 
     def test_process_executor(self, corpus, capsys):
-        assert main(["batch", corpus, "--jobs", "2",
-                     "--executor", "process"]) == 0
+        assert main(["batch", corpus, "--jobs", "2"]) == 0
         assert "fig2.par: ok" in capsys.readouterr().out
 
     def test_cache_stats_table(self, corpus, capsys):
@@ -62,3 +61,16 @@ class TestBatch:
         missing = str(tmp_path / "nope")
         code = main(["batch", missing])
         assert code == 3
+
+    def test_cache_stats_cover_worker_processes(self, corpus, capsys):
+        # Distinct files share no artifacts, so a serial run and a
+        # process pool make the same lookups; the table must show them
+        # all, not only the coordinator's.
+        tables = []
+        for jobs in ("1", "2"):
+            assert main(["batch", corpus, "--jobs", jobs, "--cache-stats"]) == 0
+            out = capsys.readouterr().out
+            tables.append(out[out.index("== artifact cache =="):])
+        assert tables[0] == tables[1]
+        total = tables[1].splitlines()[-1].split()
+        assert total[0] == "total" and int(total[2]) > 0

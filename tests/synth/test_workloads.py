@@ -1,6 +1,13 @@
 """Named workload families."""
 
+import os
+
+import pytest
+
 from repro.cfg.builder import build_flow_graph
+from repro.ir.printer import format_ir
+from repro.ir.lower import lower_program
+from repro.lang.parser import parse
 from repro.mutex.identify import identify_mutex_structures
 from repro.synth import (
     bank_accounts,
@@ -8,11 +15,22 @@ from repro.synth import (
     licm_padding,
     lock_density_sweep,
     paper_figure1,
+    paper_figure1_source,
     paper_figure2,
+    paper_figure2_source,
     shared_counters,
 )
 from repro.verify import deterministic_output
 from repro.vm.machine import run_random
+
+EXAMPLES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "examples",
+)
+
+
+def _build(source):
+    return lower_program(parse(source))
 
 
 class TestWorkloads:
@@ -58,3 +76,15 @@ class TestWorkloads:
         for mk in (paper_figure1, paper_figure2):
             form = build_cssame(mk())
             assert form.rewrite_stats.args_removed > 0
+
+
+class TestPaperFigureSources:
+    """The bundled examples and the library's copy are one program."""
+
+    @pytest.mark.parametrize("number", [1, 2])
+    def test_example_file_lowers_to_the_same_listing(self, number):
+        source = (paper_figure1_source, paper_figure2_source)[number - 1]()
+        path = os.path.join(EXAMPLES, f"figure{number}.par")
+        with open(path, encoding="utf-8") as handle:
+            example = handle.read()
+        assert format_ir(_build(example)) == format_ir(_build(source))
