@@ -126,9 +126,7 @@ def _session(session: Optional[Session]) -> Session:
 
 
 def _run_analyze(sess: Session, source: str, opts: dict):
-    form = sess.analyze(
-        source, prune=opts["prune"], prune_events=opts["prune_events"]
-    )
+    form = sess.analyze(source, prune=opts["prune"])
     rewrite = None
     if form.rewrite_stats is not None:
         rewrite = {
@@ -165,7 +163,6 @@ def _run_optimized(sess: Session, source: str, opts: dict):
         passes=tuple(opts["passes"]),
         use_mutex=opts["use_mutex"],
         fold_output_uses=opts["fold_output_uses"],
-        simplify=opts["simplify"],
     )
     artifacts = {
         "listing": report.listings["final"],

@@ -31,6 +31,8 @@ from repro.ir.structured import (
     ProgramIR,
     WhileRegion,
 )
+from repro.obs.prof import record_work
+from repro.obs.trace import get_tracer
 
 __all__ = ["build_flow_graph"]
 
@@ -173,11 +175,7 @@ def build_flow_graph(program: ProgramIR) -> FlowGraph:
     """Build a fresh PFG for ``program`` (control edges only; conflict,
     mutex and sync edges are added by :mod:`repro.cfg.conflicts`)."""
     graph = _Builder().run(program)
-    from repro.obs.trace import get_tracer
-
     if get_tracer().enabled:
-        from repro.obs.prof import record_work
-
         record_work(
             "pfg",
             blocks=len(graph.blocks),

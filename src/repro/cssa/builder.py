@@ -15,6 +15,8 @@ from repro.cfg.graph import FlowGraph
 from repro.cssa.pi import place_pi_terms
 from repro.ir.stmts import Pi
 from repro.ir.structured import ProgramIR
+from repro.obs.prof import record_work
+from repro.obs.trace import get_tracer
 from repro.ssa.construct import SSAContext, build_ssa
 
 __all__ = ["CSSAForm", "build_cssa"]
@@ -71,11 +73,7 @@ def build_cssa(program: ProgramIR) -> CSSAForm:
     # conflict edges of the pre-π sites are those of the CSSA form.
     # Few callers read the edge lists, so each is built on first read.
     graph.set_edge_inputs(edge_inputs)
-    from repro.obs.trace import get_tracer
-
     if get_tracer().enabled:
-        from repro.obs.prof import record_work
-
         record_work(
             "cssa",
             pi_terms=len(pis),

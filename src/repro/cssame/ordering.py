@@ -36,6 +36,7 @@ from repro.cfg.graph import FlowGraph
 from repro.cssame.rewrite import delete_reduced_pis
 from repro.ir.stmts import ConflictSet, Pi, SAssign
 from repro.ir.structured import ProgramIR, iter_statements
+from repro.obs.prof import record_work
 
 __all__ = ["EventOrdering", "OrderingStats", "prune_pi_terms_by_ordering"]
 
@@ -212,16 +213,11 @@ def prune_pi_terms_by_ordering(
         stats.args_removed += removed
 
     stats.pis_deleted = len(delete_reduced_pis(program, graph, pis))
-    from repro.obs.trace import get_tracer
-
-    if get_tracer().enabled:
-        from repro.obs.prof import record_work
-
-        record_work(
-            "ordering",
-            pi_terms=len(pis),
-            args_examined=args_examined,
-            args_removed=stats.args_removed,
-            pis_deleted=stats.pis_deleted,
-        )
+    record_work(
+        "ordering",
+        pi_terms=len(pis),
+        args_examined=args_examined,
+        args_removed=stats.args_removed,
+        pis_deleted=stats.pis_deleted,
+    )
     return stats

@@ -29,6 +29,7 @@ from repro.ir.stmts import ConflictSet, Pi
 from repro.ir.structured import Body, ProgramIR, iter_statements, remove_stmt
 from repro.mutex.structures import MutexBody, MutexStructure
 from repro.obs.events import PiArgRemoved, PiDeleted
+from repro.obs.prof import record_work
 from repro.obs.trace import get_tracer
 from repro.ssa.chains import build_use_map
 
@@ -179,17 +180,14 @@ def rewrite_pi_terms(
                 PiDeleted(pi.var_name, pi.target, pi.control.ssa_name, nuses)
             )
             tracer.counter("cssame.pis_deleted").inc()
-    if tracer.enabled:
-        from repro.obs.prof import record_work
-
-        record_work(
-            "rewrite-pi",
-            pi_terms=stats.pis_before,
-            conflict_args=stats.args_before,
-            args_removed=stats.args_removed,
-            pis_deleted=stats.pis_deleted,
-            sets_rewritten=len(rewrite._results),
-        )
+    record_work(
+        "rewrite-pi",
+        pi_terms=stats.pis_before,
+        conflict_args=stats.args_before,
+        args_removed=stats.args_removed,
+        pis_deleted=stats.pis_deleted,
+        sets_rewritten=len(rewrite._results),
+    )
     return stats
 
 

@@ -27,6 +27,8 @@ from repro.cfg.dominance import (
 )
 from repro.cfg.graph import FlowGraph
 from repro.mutex.structures import MutexBody, MutexStructure
+from repro.obs.prof import record_work
+from repro.obs.trace import get_tracer
 
 __all__ = ["identify_mutex_structures"]
 
@@ -178,11 +180,7 @@ def identify_mutex_structures(
             nodes = frozenset(blocks.between(n, x)) - {n}
             structure.add(MutexBody(lock_name, n, x, nodes))
         structures[lock_name] = structure
-    from repro.obs.trace import get_tracer
-
     if get_tracer().enabled:
-        from repro.obs.prof import record_work
-
         record_work(
             "identify-mutex",
             lock_vars=len(lock_vars),

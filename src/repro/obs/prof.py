@@ -24,6 +24,15 @@ Conventions
   accumulated integers — the disabled-tracer cost of a pass is one
   function call and an ``enabled`` check, preserving the <5% disabled
   overhead bound of ``bench_trace_overhead.py``.
+* Callers import :func:`record_work` at module level (this package
+  imports nothing from the rest of ``repro`` at import time) and call
+  it unguarded: it checks ``enabled`` itself.  Only where computing an
+  argument walks the graph or the program (the PFG's block sums, the
+  mutex bodies' node sums, the CSSA conflict-edge count) does the
+  caller wrap the call in ``if get_tracer().enabled:``.
+* The session reports one ``work.session.compute.<stage>`` unit per
+  stage it computes (phase ``session.compute``); a cache hit reports
+  none.
 """
 
 from __future__ import annotations

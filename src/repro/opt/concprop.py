@@ -38,6 +38,7 @@ from repro.ir.structured import (
 )
 from repro.mutex.identify import identify_mutex_structures
 from repro.mutex.structures import MutexStructure
+from repro.obs.prof import record_work
 from repro.opt.folding import eval_expr
 from repro.opt.lattice import BOTTOM, TOP, ConstValue, LatticeValue, meet, meet_all
 from repro.ssa.chains import UseMap, build_use_map
@@ -544,17 +545,12 @@ def concurrent_constant_propagation(
     analysis.run()
     stats = ConstPropStats()
     _Transformer(analysis, stats, fold_output_uses, structures).run()
-    from repro.obs.trace import get_tracer
-
-    if get_tracer().enabled:
-        from repro.obs.prof import record_work
-
-        record_work(
-            "constprop",
-            lattice_evals=analysis.evals,
-            executable_blocks=len(analysis.executable_blocks),
-            executable_edges=len(analysis.executable_edges),
-            constants=len(stats.constants),
-            uses_replaced=stats.uses_replaced,
-        )
+    record_work(
+        "constprop",
+        lattice_evals=analysis.evals,
+        executable_blocks=len(analysis.executable_blocks),
+        executable_edges=len(analysis.executable_edges),
+        constants=len(stats.constants),
+        uses_replaced=stats.uses_replaced,
+    )
     return stats

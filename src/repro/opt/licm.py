@@ -40,6 +40,7 @@ from repro.ir.stmts import IRStmt, Pi, SAssign, SLock, SUnlock
 from repro.ir.structured import Body, ProgramIR, remove_stmt
 from repro.mutex.identify import identify_mutex_structures
 from repro.mutex.structures import MutexBody
+from repro.obs.prof import record_work
 
 __all__ = ["LICMStats", "lock_independent_code_motion"]
 
@@ -411,16 +412,11 @@ def lock_independent_code_motion(program: ProgramIR) -> LICMStats:
             # anything the region move uncovered.
             _RegionMotion(graph, conflicts, stats).run(body)
             motion.remove_if_empty()
-    from repro.obs.trace import get_tracer
-
-    if get_tracer().enabled:
-        from repro.obs.prof import record_work
-
-        record_work(
-            "licm",
-            bodies=sum(len(s) for s in structures.values()),
-            independence_checks=conflicts.independence_checks,
-            moved=stats.total_moved,
-            locks_removed=stats.locks_removed,
-        )
+    record_work(
+        "licm",
+        bodies=sum(len(s) for s in structures.values()),
+        independence_checks=conflicts.independence_checks,
+        moved=stats.total_moved,
+        locks_removed=stats.locks_removed,
+    )
     return stats

@@ -40,6 +40,7 @@ from repro.ir.stmts import (
     SPrint,
 )
 from repro.ir.structured import ProgramIR
+from repro.obs.prof import record_work
 
 __all__ = ["LVNStats", "local_value_numbering"]
 
@@ -182,14 +183,9 @@ def local_value_numbering(program: ProgramIR) -> LVNStats:
                 if target is not None:
                     table.invalidate_base(target)
             # sync ops occupy their own nodes; nothing to do here
-    from repro.obs.trace import get_tracer
-
-    if get_tracer().enabled:
-        from repro.obs.prof import record_work
-
-        record_work(
-            "lvn",
-            blocks_processed=stats.blocks_processed,
-            replaced=stats.expressions_replaced,
-        )
+    record_work(
+        "lvn",
+        blocks_processed=stats.blocks_processed,
+        replaced=stats.expressions_replaced,
+    )
     return stats

@@ -49,6 +49,7 @@ from repro.ir.structured import (
     iter_statements,
     remove_stmt,
 )
+from repro.obs.prof import record_work
 
 __all__ = ["PDCEStats", "parallel_dead_code_elimination"]
 
@@ -228,16 +229,11 @@ def parallel_dead_code_elimination(program: ProgramIR) -> PDCEStats:
     live, scanned = _mark_live(program, build_flow_graph(program))
     stats = PDCEStats()
     _Sweeper(live, stats).sweep_body(program.body)
-    from repro.obs.trace import get_tracer
-
-    if get_tracer().enabled:
-        from repro.obs.prof import record_work
-
-        record_work(
-            "pdce",
-            stmts_scanned=scanned,
-            marked_live=len(live),
-            removed=stats.total_removed,
-            regions_removed=stats.regions_removed,
-        )
+    record_work(
+        "pdce",
+        stmts_scanned=scanned,
+        marked_live=len(live),
+        removed=stats.total_removed,
+        regions_removed=stats.regions_removed,
+    )
     return stats

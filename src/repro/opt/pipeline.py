@@ -71,7 +71,6 @@ def optimize(
     program: ProgramIR,
     passes: tuple[str, ...] = DEFAULT_PASSES,
     use_mutex: bool = True,
-    simplify: bool = True,
     fold_output_uses: bool = True,
 ) -> OptimizationReport:
     """Run the paper's pipeline on a *non-SSA* ``program``, in place.
@@ -85,8 +84,9 @@ def optimize(
     use_mutex:
         ``True`` builds the CSSAME form (Algorithm A.3 prunes π terms);
         ``False`` leaves plain CSSA — the paper's comparison baseline.
-    simplify:
-        Run the structural cleanup after the passes.
+
+    The structural cleanup (:func:`~repro.opt.simplify.simplify_structure`)
+    always runs after the passes.
     """
     unknown = set(passes) - set(KNOWN_PASSES)
     if unknown:
@@ -145,10 +145,9 @@ def optimize(
             if tracer.enabled:
                 tracer.event(PassEnd(name, stats))
 
-        if simplify:
-            with tracer.span("simplify") as span:
-                report.simplified_items = simplify_structure(program)
-                span.set(items=report.simplified_items)
+        with tracer.span("simplify") as span:
+            report.simplified_items = simplify_structure(program)
+            span.set(items=report.simplified_items)
         report.listings["final"] = format_ir(program)
         pipeline_span.set(statements=report.statement_count())
     return report

@@ -47,6 +47,7 @@ from repro.cssame.builder import CSSAMEForm
 from repro.ir.structured import ProgramIR, clone_program
 from repro.mutex.races import RaceClasses, RaceReport
 from repro.mutex.warnings import SyncWarning
+from repro.obs.prof import record_work
 from repro.obs.trace import get_tracer
 from repro.opt.pipeline import DEFAULT_PASSES, OptimizationReport
 from repro.session.artifacts import ArtifactCache, CacheStats, derive_key, source_key
@@ -142,10 +143,9 @@ class Session:
             parent_value = self._artifact(spec.parent, source, parent_request)
         with tracer.span(f"stage:{stage}", cache_hit=False):
             value = spec.compute(parent_value, self._options_for(stage, request))
-        if tracer.enabled:
-            # Deterministic work hook: one unit per stage actually
-            # computed (cache hits cost no stage work by definition).
-            tracer.counter(f"work.session.compute.{stage}").inc()
+        # Deterministic work hook: one unit per stage actually computed
+        # (cache hits cost no stage work by definition).
+        record_work("session.compute", **{stage: 1})
         self.cache.put(key, value)
         return value
 
@@ -159,18 +159,13 @@ class Session:
         self,
         source: str,
         prune: bool = True,
-        prune_events: bool = True,
     ) -> CSSAMEForm:
         """CSSAME form of ``source`` (``prune=False`` → plain CSSA).
 
         The returned form is the cached artifact — treat it as
         read-only.
         """
-        return self._artifact(
-            "cssame",
-            source,
-            {"prune": prune, "prune_events": prune_events},
-        )
+        return self._artifact("cssame", source, {"prune": prune})
 
     def diagnose(self, source: str) -> tuple[list[SyncWarning], list[RaceReport]]:
         """Section 6 diagnostics (sync warnings + potential races), one
@@ -191,7 +186,6 @@ class Session:
         passes: tuple[str, ...] = DEFAULT_PASSES,
         use_mutex: bool = True,
         fold_output_uses: bool = True,
-        simplify: bool = True,
     ) -> OptimizationReport:
         """The paper's optimization pipeline; cached per option tuple."""
         return self._artifact(
@@ -201,7 +195,6 @@ class Session:
                 "passes": tuple(passes),
                 "use_mutex": use_mutex,
                 "fold_output_uses": fold_output_uses,
-                "simplify": simplify,
             },
         )
 

@@ -2,10 +2,11 @@
 
 The compiler's journeys all walk one DAG::
 
-    source ──> ast ──> ir ──┬─> cssame(prune, prune_events) ──┬─> dot(title)
-                            │        (prune=False is CSSA)    └─> diagnostics
+    source ──> ast ──> ir ──┬─> cssame(prune) ──┬─> dot(title)
+                            │   (prune=False is  └─> diagnostics
+                            │    CSSA)               (pins prune=False)
                             ├─> optimized(passes, use_mutex,
-                            │             fold_output_uses, simplify)
+                            │             fold_output_uses)
                             └─> bytecode
 
 Each node is a :class:`StageSpec`: a name, the parent stage it consumes,
@@ -96,12 +97,7 @@ def _compute_ir(ast, options: Mapping[str, Any]):
 def _compute_cssame(ir, options: Mapping[str, Any]):
     # build_cssame rewrites the program in place: work on a private copy
     # so the cached ``ir`` artifact stays pristine (copy-on-write).
-    program = clone_program(ir)
-    return build_cssame(
-        program,
-        prune=options["prune"],
-        prune_events=options["prune_events"],
-    )
+    return build_cssame(clone_program(ir), prune=options["prune"])
 
 
 def _compute_diagnostics(form, options: Mapping[str, Any]):
@@ -128,7 +124,6 @@ def _compute_optimized(ir, options: Mapping[str, Any]):
         program,
         passes=options["passes"],
         use_mutex=options["use_mutex"],
-        simplify=options["simplify"],
         fold_output_uses=options["fold_output_uses"],
     )
 
@@ -149,12 +144,7 @@ def _compute_bytecode(ir, options: Mapping[str, Any]):
 _TABLE: tuple[tuple[Optional[str], StageSpec], ...] = (
     (None, StageSpec("ast", None, {}, _compute_ast)),
     (None, StageSpec("ir", "ast", {}, _compute_ir)),
-    (
-        "analyze",
-        StageSpec(
-            "cssame", "ir", {"prune": True, "prune_events": True}, _compute_cssame
-        ),
-    ),
+    ("analyze", StageSpec("cssame", "ir", {"prune": True}, _compute_cssame)),
     (
         "diagnostics",
         StageSpec(
@@ -162,7 +152,7 @@ _TABLE: tuple[tuple[Optional[str], StageSpec], ...] = (
             "cssame",
             {},
             _compute_diagnostics,
-            parent_options={"prune": False, "prune_events": True},
+            parent_options={"prune": False},
         ),
     ),
     (
@@ -174,21 +164,11 @@ _TABLE: tuple[tuple[Optional[str], StageSpec], ...] = (
                 "passes": DEFAULT_PASSES,
                 "use_mutex": True,
                 "fold_output_uses": True,
-                "simplify": True,
             },
             _compute_optimized,
         ),
     ),
-    (
-        "dot",
-        StageSpec(
-            "dot",
-            "cssame",
-            {"title": "PFG"},
-            _compute_dot,
-            parent_options={"prune_events": True},
-        ),
-    ),
+    ("dot", StageSpec("dot", "cssame", {"title": "PFG"}, _compute_dot)),
     ("bytecode", StageSpec("bytecode", "ir", {}, _compute_bytecode)),
     (
         "audit",

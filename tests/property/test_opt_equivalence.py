@@ -167,3 +167,41 @@ def test_licm_keeps_an_emptied_section_that_orders_threads():
     res = exhaustive_equivalence(report.baseline, program, max_states=_MAX_STATES)
     assert res.complete
     assert res.equal, res.explain()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "known LICM defect: A.5 lines 43-45 delete T0's emptied lock(LK0) "
+        "pair, which still kept T0 out while T1 held LK0 (4 outcomes vs "
+        "3); see DESIGN.md section 4b, note 5"
+    ),
+)
+def test_licm_keeps_a_second_emptied_section_that_orders_threads():
+    """Second pinned counterexample, found by hypothesis in
+    ``test_extended_pipeline_with_lvn``.
+
+    LICM hoists T0's private statements out of its ``lock(LK0)``
+    section and removes the emptied pair.  T0's last write to ``s0``
+    can then fall inside T1's ``lock(LK0)`` section, between T1's read
+    of the initial 5 and its write of 25, so T1's write can come last
+    and the program can print 25, which the original cannot.
+    """
+    config = GeneratorConfig(
+        seed=3478,
+        n_threads=2,
+        stmts_per_thread=4,
+        n_shared=1,
+        n_private=1,
+        n_locks=2,
+        p_if=0.0,
+        p_critical=0.75,
+        p_call=0.0,
+        race_free=False,
+    )
+    program = generate_program(config)
+    report = optimize(program, passes=("licm",))
+    res = exhaustive_equivalence(report.baseline, program, max_states=_MAX_STATES)
+    assert res.complete
+    assert res.equal, res.explain()

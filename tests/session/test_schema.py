@@ -13,18 +13,18 @@ import pytest
 
 from repro import api
 from repro.cli import _build_parser
+from repro.errors import E_UNSUPPORTED, UnsupportedRequest
 from repro.session import STAGES, ArtifactCache, Session
 from tests.conftest import FIGURE2_SOURCE
 
-#: the wire contract as published in 1.x, copied literally
-SERVE_STAGES_V1 = {
-    "analyze": {"prune": True, "prune_events": True},
+#: the wire contract as published in 6.0, copied literally
+SERVE_STAGES_V6 = {
+    "analyze": {"prune": True},
     "diagnostics": {},
     "optimized": {
         "passes": ("constprop", "pdce", "licm"),
         "use_mutex": True,
         "fold_output_uses": True,
-        "simplify": True,
     },
     "dot": {"title": "PFG", "prune": True},
     "bytecode": {},
@@ -69,8 +69,18 @@ def _subparser(parser: argparse.ArgumentParser, name: str):
 
 
 def test_serve_stages_unchanged():
-    assert api.SERVE_STAGES == SERVE_STAGES_V1
-    assert list(api.SERVE_STAGES) == list(SERVE_STAGES_V1)
+    assert api.SERVE_STAGES == SERVE_STAGES_V6
+    assert list(api.SERVE_STAGES) == list(SERVE_STAGES_V6)
+
+
+@pytest.mark.parametrize(
+    "stage,options",
+    [("analyze", {"prune_events": False}), ("optimized", {"simplify": False})],
+)
+def test_options_removed_in_6_are_unsupported(stage, options):
+    with pytest.raises(UnsupportedRequest) as info:
+        api.stage_options(stage, options)
+    assert info.value.code == E_UNSUPPORTED
 
 
 def test_every_graph_stage_has_a_journey():

@@ -150,13 +150,18 @@ class TestStageGraphShape:
         assert STAGES["ir"].parent == "ast"
         assert STAGES["cssame"].parent == "ir"
         assert STAGES["diagnostics"].parent == "cssame"
-        assert STAGES["diagnostics"].parent_options == {
-            "prune": False,
-            "prune_events": True,
-        }
+        assert STAGES["diagnostics"].parent_options == {"prune": False}
         assert STAGES["optimized"].parent == "ir"
         assert STAGES["dot"].parent == "cssame"
         assert STAGES["bytecode"].parent == "ir"
+
+    def test_only_diagnostics_pins_a_parent_option(self):
+        pins = {
+            name: spec.parent_options
+            for name, spec in STAGES.items()
+            if spec.parent_options
+        }
+        assert pins == {"diagnostics": {"prune": False}}
 
     def test_bytecode_stage(self):
         session = Session()
