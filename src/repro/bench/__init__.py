@@ -9,9 +9,9 @@ into one instrument:
 * :mod:`repro.bench.runner` — statistical timing (warmup, repeats,
   median/IQR/min) plus a traced pass collecting the deterministic
   ``work.*`` counters of :mod:`repro.obs.prof`.
-* :mod:`repro.bench.history` — append-only ``BENCH_history.jsonl``.
-* :mod:`repro.bench.check` — the regression gate: work counters as the
-  primary (noise-free) signal, IQR-aware wall-time as secondary.
+* :mod:`repro.bench.check` — the regression gate against the committed
+  ``BENCH_baseline.json``: work counters as the primary (noise-free)
+  signal, IQR-aware wall-time as secondary.
 
 ``repro bench`` (see :mod:`repro.cli`) is the front door.
 """
@@ -23,14 +23,9 @@ from repro.bench.check import (
     WALL_REL_THRESHOLD,
     compare_records,
     format_regressions,
+    load_baseline,
 )
 from repro.bench.env import fingerprint, git_commit
-from repro.bench.history import (
-    DEFAULT_HISTORY,
-    append_record,
-    load_history,
-    previous_record,
-)
 from repro.bench.registry import (
     Benchmark,
     clear_registry,
@@ -53,22 +48,19 @@ __all__ = [
     "Benchmark",
     "BenchResult",
     "COUNTER_TOLERANCE",
-    "DEFAULT_HISTORY",
     "DEFAULT_REPEAT",
     "DEFAULT_WARMUP",
     "RECORD_SCHEMA",
     "Regression",
     "WALL_IQR_MULT",
     "WALL_REL_THRESHOLD",
-    "append_record",
     "clear_registry",
     "compare_records",
     "discover",
     "fingerprint",
     "format_regressions",
     "git_commit",
-    "load_history",
-    "previous_record",
+    "load_baseline",
     "register",
     "registered",
     "run_benchmark",

@@ -1,9 +1,9 @@
 """Environment fingerprint attached to every benchmark record.
 
 Wall-clock numbers are only comparable within one environment; the
-fingerprint makes each ``BENCH_history.jsonl`` record self-describing
-so a later reader (or the regression gate) can tell whether two records
-came from the same interpreter, machine class, and commit.
+fingerprint makes each benchmark record self-describing so a later
+reader (or the regression gate) can tell whether two records came from
+the same interpreter, machine class, and commit.
 """
 
 from __future__ import annotations

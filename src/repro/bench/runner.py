@@ -16,9 +16,8 @@ Each benchmark is measured in two independent modes:
   ``profile=False`` and contribute no counters.
 
 :func:`run_suite` packages the results with an environment fingerprint
-into one JSON-serializable record — the unit that
-:mod:`repro.bench.history` appends and :mod:`repro.bench.check`
-compares.
+into one JSON-serializable record — the unit that ``repro bench
+--json`` writes and :mod:`repro.bench.check` compares.
 """
 
 from __future__ import annotations
@@ -147,7 +146,7 @@ def run_suite(
     warmup: int = DEFAULT_WARMUP,
     group: Optional[str] = None,
 ) -> dict:
-    """Run ``benches`` and package one history record."""
+    """Run ``benches`` and package one benchmark record."""
     results = [run_benchmark(b, repeat=repeat, warmup=warmup) for b in benches]
     return {
         "schema": RECORD_SCHEMA,

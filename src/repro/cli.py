@@ -33,9 +33,11 @@ Commands
               the A.3 removal decisions, the final form metrics, the
               deterministic work counters and the other metrics.
 ``bench``     run the registered benchmarks (``--list`` to enumerate,
-              ``--group`` to filter) with statistical timing, append a
-              record to ``BENCH_history.jsonl``, and with ``--check``
-              gate against the previous record (exit 1 on regression).
+              ``--group`` to filter) with statistical timing; ``--json``
+              writes the record, and ``--check`` gates it against the
+              committed ``--baseline`` record (default
+              ``BENCH_baseline.json``; exit 1 on regression, 3 when the
+              baseline is missing or malformed).
 
 All commands read the program from a file argument or, with ``-``,
 from stdin, and accept ``--trace FILE`` with
@@ -90,8 +92,8 @@ from repro.obs.trace import Tracer, get_tracer, use_tracer
 from repro.serve.protocol import DEFAULT_PORT as DEFAULT_SERVE_PORT
 from repro.report import measure_form
 from repro.session import BatchSession, Session
-from repro.vm.explore import explore
-from repro.vm.machine import run_random
+from repro.vm.explore import DEFAULT_MAX_STATES, explore
+from repro.vm.machine import DEFAULT_FUEL, run_random
 
 __all__ = ["main"]
 
@@ -403,7 +405,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run registered benchmarks; append history; optionally gate."""
+    """Run registered benchmarks; optionally gate on the committed baseline."""
     import json
 
     from repro import bench as benchlib
@@ -435,9 +437,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: no benchmarks selected", file=sys.stderr)
         return 3
 
+    # Read the baseline first: a missing or malformed one fails the gate
+    # (E_IO, exit 3) before any benchmark runs.
+    baseline = None
+    if args.check:
+        baseline = benchlib.load_baseline(args.baseline)
     repeat = args.repeat if args.repeat is not None else benchlib.DEFAULT_REPEAT
     warmup = args.warmup if args.warmup is not None else benchlib.DEFAULT_WARMUP
-    history_path = args.history or benchlib.DEFAULT_HISTORY
     record = benchlib.run_suite(
         benches, repeat=repeat, warmup=warmup, group=args.group
     )
@@ -478,38 +484,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             handle.write("\n")
         print(f"// record written to {args.json}")
 
-    # Load before appending so the implicit baseline is the *previous*
-    # run, then append this run unconditionally (append-only history).
-    existing = benchlib.load_history(history_path)
-    benchlib.append_record(record, history_path)
-    print(f"// appended record #{len(existing) + 1} to {history_path}")
-
     errors = sum(1 for r in record["results"].values() if r["error"])
-    if not args.check:
-        return 1 if errors else 0
-
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    else:
-        baseline = benchlib.previous_record(existing, group=args.group)
     if baseline is None:
-        print("// no baseline record yet; gate passes vacuously")
         return 1 if errors else 0
-    regressions = benchlib.compare_records(
-        record,
-        baseline,
-        counter_tolerance=(
-            args.counter_tolerance
-            if args.counter_tolerance is not None
-            else benchlib.COUNTER_TOLERANCE
-        ),
-        wall_rel=(
-            args.wall_threshold
-            if args.wall_threshold is not None
-            else benchlib.WALL_REL_THRESHOLD
-        ),
-    )
+    regressions = benchlib.compare_records(record, baseline)
     print(benchlib.format_regressions(regressions))
     return 1 if regressions or errors else 0
 
@@ -739,7 +717,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuel", type=int, default=1_000_000)
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--stats", action="store_true")
     p.add_argument(
@@ -753,7 +731,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "explore", help="enumerate every schedule", parents=[tracing]
     )
     p.add_argument("file")
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     p.add_argument("--optimize", action="store_true")
     p.set_defaults(func=_cmd_explore)
 
@@ -799,7 +777,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("values", nargs="*", help="expected single print's values")
     p.add_argument("--deadlock", action="store_true",
                    help="find a deadlocking schedule instead")
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser(
@@ -919,7 +897,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # (the runner enables its own tracer for the work-counter pass).
     p = sub.add_parser(
         "bench",
-        help="run registered benchmarks; append history; gate with --check",
+        help="run registered benchmarks; gate on the committed baseline "
+             "with --check",
     )
     p.add_argument(
         "names", nargs="*",
@@ -943,25 +922,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write this run's record as JSON",
     )
     p.add_argument(
-        "--history", metavar="FILE", default=None,
-        help="history file to append to (default: BENCH_history.jsonl)",
-    )
-    p.add_argument(
         "--check", action="store_true",
-        help="compare against the previous record (or --baseline); "
-             "exit 1 on regression",
+        help="compare against the --baseline record; exit 1 on regression, "
+             "3 when the baseline is missing or malformed",
     )
     p.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="explicit baseline record (JSON) for --check",
-    )
-    p.add_argument(
-        "--counter-tolerance", type=float, default=None, metavar="FRAC",
-        help="allowed relative work-counter growth (default: 0.05)",
-    )
-    p.add_argument(
-        "--wall-threshold", type=float, default=None, metavar="FRAC",
-        help="relative wall-time growth required to fail (default: 0.5)",
+        "--baseline", metavar="FILE", default="BENCH_baseline.json",
+        help="committed baseline record (JSON) for --check "
+             "(default: %(default)s)",
     )
     p.set_defaults(func=_cmd_bench)
     return parser

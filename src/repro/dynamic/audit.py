@@ -35,7 +35,7 @@ count.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.cfg.conflicts import collect_access_sites, is_memory_access
 from repro.errors import StepLimitExceeded, VMError
@@ -44,6 +44,8 @@ from repro.ir.structured import ProgramIR
 from repro.mutex.races import RaceReport, detect_races
 from repro.obs.prof import record_work
 from repro.obs.trace import get_tracer
+from repro.session.session import Session
+from repro.session.stages import WIRE_STAGES
 from repro.dynamic.coverage import ScheduleCoverage
 from repro.dynamic.hb import DynamicRace, HBTracker
 from repro.vm.bytecode import VMProgram
@@ -57,6 +59,9 @@ __all__ = [
     "audit_program",
     "audit_source",
 ]
+
+#: the ``audit`` stage's option defaults, which the signatures below share
+_AUDIT = WIRE_STAGES["audit"].options
 
 #: classification vocabulary for static findings
 CONFIRMED = "confirmed"
@@ -208,12 +213,11 @@ def _observable_only(graph, sites: dict, var: str, block_id: int) -> bool:
 def audit_program(
     program: ProgramIR,
     static_races: list[RaceReport],
-    runs: int = 16,
-    seed_base: int = 0,
-    fuel: int = 1_000_000,
-    functions: Optional[Callable[[str, list[int]], int]] = None,
-    explore_states: int = 20_000,
-    do_explore: bool = True,
+    runs: int = _AUDIT["runs"],
+    seed_base: int = _AUDIT["seed_base"],
+    fuel: int = _AUDIT["fuel"],
+    explore_states: int = _AUDIT["max_states"],
+    do_explore: bool = _AUDIT["explore"],
     *,
     graph,
     access_sites: dict,
@@ -240,9 +244,7 @@ def audit_program(
         for seed in range(seed_base, seed_base + runs):
             report.seeds.append(seed)
             hb = HBTracker(compiled)
-            vm = VirtualMachine(
-                compiled, seed=seed, functions=functions, fuel=fuel, hb=hb
-            )
+            vm = VirtualMachine(compiled, seed=seed, fuel=fuel, hb=hb)
             try:
                 execution = vm.run(raise_on_deadlock=False)
             except StepLimitExceeded:
@@ -268,14 +270,12 @@ def audit_program(
     report.dynamic = [dynamic[key] for key in sorted(dynamic)]
 
     if do_explore:
-        result = explore(compiled, functions=functions, max_states=explore_states)
+        result = explore(compiled, max_states=explore_states)
         report.coverage.explored_outcomes = result.outcomes
         report.coverage.explored_states = result.states
         report.coverage.explore_complete = result.complete
 
-    verified, replays, replay_steps = _verify_witnesses(
-        compiled, report.dynamic, functions
-    )
+    verified, replays, replay_steps = _verify_witnesses(compiled, report.dynamic)
 
     first_race: dict[str, DynamicRace] = {}
     for race in report.dynamic:
@@ -324,9 +324,7 @@ def audit_program(
 
 
 def _verify_witnesses(
-    compiled: VMProgram,
-    races: list[DynamicRace],
-    functions: Optional[Callable[[str, list[int]], int]],
+    compiled: VMProgram, races: list[DynamicRace]
 ) -> tuple[set[tuple], int, int]:
     """(pair keys of the races whose witness replay re-detects them,
     replays run, steps replayed).
@@ -357,7 +355,7 @@ def _verify_witnesses(
     steps = 0
     for schedule, hosted in guests.items():
         hb = HBTracker(compiled)
-        vm = VirtualMachine(compiled, functions=functions, hb=hb)
+        vm = VirtualMachine(compiled, hb=hb)
         try:
             vm.replay(list(schedule))
         except Exception:  # noqa: BLE001 - an unreplayable step fails its races
@@ -374,12 +372,11 @@ def _verify_witnesses(
 
 def audit_source(
     source: str,
-    runs: int = 16,
-    seed_base: int = 0,
-    fuel: int = 1_000_000,
-    functions: Optional[Callable[[str, list[int]], int]] = None,
-    explore_states: int = 20_000,
-    do_explore: bool = True,
+    runs: int = _AUDIT["runs"],
+    seed_base: int = _AUDIT["seed_base"],
+    fuel: int = _AUDIT["fuel"],
+    explore_states: int = _AUDIT["max_states"],
+    do_explore: bool = _AUDIT["explore"],
     static_races: Optional[list[RaceReport]] = None,
     session=None,
 ) -> AuditReport:
@@ -390,8 +387,6 @@ def audit_source(
     fabricated reports that way), then delegates to
     :func:`audit_program`.
     """
-    from repro.session.session import Session
-
     session = session if session is not None else Session()
     form = session.analyze(source, prune=False)
     if static_races is None:
@@ -403,7 +398,6 @@ def audit_source(
         runs=runs,
         seed_base=seed_base,
         fuel=fuel,
-        functions=functions,
         explore_states=explore_states,
         do_explore=do_explore,
         graph=form.graph,

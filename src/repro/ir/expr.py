@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.lang import ast_nodes as ast
+from repro.lang.tokens import NON_ASSOCIATIVE, PRECEDENCE, UNARY_PRECEDENCE
 
 __all__ = [
     "EBin",
@@ -228,27 +229,6 @@ def clone_expr(expr: IRExpr) -> IRExpr:
     raise TypeError(f"cannot clone expression {expr!r}")
 
 
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 3,
-    "<=": 3,
-    ">": 3,
-    ">=": 3,
-    "+": 4,
-    "-": 4,
-    "*": 5,
-    "/": 5,
-    "%": 5,
-}
-_UNARY_PRECEDENCE = 6
-
-#: Operators the grammar does not chain: ``a < b < c`` is a parse error.
-_NON_ASSOCIATIVE = {"==", "!=", "<", "<=", ">", ">="}
-
-
 def expr_to_str(expr: IRExpr, parent_prec: int = 0) -> str:
     """Render an IR expression using SSA display names."""
     if isinstance(expr, EConst):
@@ -259,11 +239,11 @@ def expr_to_str(expr: IRExpr, parent_prec: int = 0) -> str:
         args = ", ".join(expr_to_str(a) for a in expr.args)
         return f"{expr.func}({args})"
     if isinstance(expr, EUn):
-        text = f"{expr.op}{expr_to_str(expr.operand, _UNARY_PRECEDENCE)}"
-        return f"({text})" if parent_prec > _UNARY_PRECEDENCE else text
+        text = f"{expr.op}{expr_to_str(expr.operand, UNARY_PRECEDENCE)}"
+        return f"({text})" if parent_prec > UNARY_PRECEDENCE else text
     if isinstance(expr, EBin):
-        prec = _PRECEDENCE[expr.op]
-        left_prec = prec + 1 if expr.op in _NON_ASSOCIATIVE else prec
+        prec = PRECEDENCE[expr.op]
+        left_prec = prec + 1 if expr.op in NON_ASSOCIATIVE else prec
         text = (
             f"{expr_to_str(expr.left, left_prec)} {expr.op} "
             f"{expr_to_str(expr.right, prec + 1)}"

@@ -54,6 +54,7 @@ from typing import Callable
 from repro.errors import ParseError, SourceLocation
 from repro.lang import ast_nodes as ast
 from repro.lang.lexer import scan
+from repro.lang.tokens import NON_ASSOCIATIVE, PRECEDENCE, UNARY_PRECEDENCE
 from repro.lang.tokens import TokenKind as T
 
 __all__ = ["MAX_NESTING", "Parser", "parse"]
@@ -64,26 +65,11 @@ __all__ = ["MAX_NESTING", "Parser", "parse"]
 #: stack; a 900-term ``a + a + ...`` chain is exactly at it.
 MAX_NESTING = 900
 
-#: Binding power of each binary operator; higher binds tighter.
-_BINDING: dict[T, int] = {
-    T.OR: 1,
-    T.AND: 2,
-    T.EQ: 3,
-    T.NE: 3,
-    T.LT: 3,
-    T.LE: 3,
-    T.GT: 3,
-    T.GE: 3,
-    T.PLUS: 4,
-    T.MINUS: 4,
-    T.STAR: 5,
-    T.SLASH: 5,
-    T.PERCENT: 5,
-}
+#: Binding power of each binary operator's token kind (a kind's value is
+#: the operator's text); higher binds tighter.
+_BINDING: dict[T, int] = {T(op): level for op, level in PRECEDENCE.items()}
 #: comparisons: the one non-associative level
-_COMPARE = 3
-#: a unary operator's operand takes no binary operator
-_UNARY = 6
+(_COMPARE,) = {PRECEDENCE[op] for op in NON_ASSOCIATIVE}
 
 
 class Parser:
@@ -167,7 +153,7 @@ class Parser:
             return ast.Assign(self._texts[pos], value, self._loc(pos))
         if follow is T.LPAREN:
             # Parsed as a call expression, which takes no operator here.
-            call = self._expr(depth, _UNARY)[0]
+            call = self._expr(depth, UNARY_PRECEDENCE)[0]
             self._expect(T.SEMI)
             return ast.CallStmt(call.func, call.args, call.location)
         raise ParseError(
@@ -371,14 +357,14 @@ class Parser:
             height += 1
         elif kind is T.MINUS or kind is T.NOT:
             self._pos = pos + 1
-            operand, height = self._expr(depth + 1, _UNARY)
+            operand, height = self._expr(depth + 1, UNARY_PRECEDENCE)
             left = ast.UnaryOp(texts[pos], operand, SourceLocation(lines[pos], columns[pos]))
             height += 1
         else:
             raise ParseError(
                 f"unexpected token {self._found(pos)} in expression", self._loc(pos)
             )
-        left_binding = _UNARY
+        left_binding = UNARY_PRECEDENCE
         binding_of = _BINDING.get
         while True:
             pos = self._pos

@@ -7,29 +7,9 @@ which the test suite checks property-style.
 from __future__ import annotations
 
 from repro.lang import ast_nodes as ast
+from repro.lang.tokens import NON_ASSOCIATIVE, PRECEDENCE, UNARY_PRECEDENCE
 
 __all__ = ["format_expr", "format_program", "format_stmt"]
-
-#: Binding strength of each binary operator; higher binds tighter.
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 3,
-    "<=": 3,
-    ">": 3,
-    ">=": 3,
-    "+": 4,
-    "-": 4,
-    "*": 5,
-    "/": 5,
-    "%": 5,
-}
-_UNARY_PRECEDENCE = 6
-
-#: Operators the grammar does not chain: ``a < b < c`` is a parse error.
-_NON_ASSOCIATIVE = {"==", "!=", "<", "<=", ">", ">="}
 
 
 def format_expr(expr: ast.Expr, parent_prec: int = 0) -> str:
@@ -42,18 +22,18 @@ def format_expr(expr: ast.Expr, parent_prec: int = 0) -> str:
         args = ", ".join(format_expr(a) for a in expr.args)
         return f"{expr.func}({args})"
     if isinstance(expr, ast.UnaryOp):
-        inner = format_expr(expr.operand, _UNARY_PRECEDENCE)
+        inner = format_expr(expr.operand, UNARY_PRECEDENCE)
         text = f"{expr.op}{inner}"
-        if parent_prec > _UNARY_PRECEDENCE:
+        if parent_prec > UNARY_PRECEDENCE:
             return f"({text})"
         return text
     if isinstance(expr, ast.BinOp):
-        prec = _PRECEDENCE[expr.op]
+        prec = PRECEDENCE[expr.op]
         # Comparisons are non-associative in the grammar (`a < b < c`
         # does not parse), so both operands need parens at equal
         # precedence; other operators are left-associative, so only the
         # right side does.
-        left_prec = prec + 1 if expr.op in _NON_ASSOCIATIVE else prec
+        left_prec = prec + 1 if expr.op in NON_ASSOCIATIVE else prec
         left = format_expr(expr.left, left_prec)
         right = format_expr(expr.right, prec + 1)
         text = f"{left} {expr.op} {right}"

@@ -1,4 +1,5 @@
-"""Token kinds and keyword tables for the toy parallel language."""
+"""Token kinds, keyword tables and operator precedence for the toy
+parallel language."""
 
 from __future__ import annotations
 
@@ -112,3 +113,26 @@ ONE_CHAR_OPS: dict[str, TokenKind] = {
     ">": TokenKind.GT,
     "!": TokenKind.NOT,
 }
+
+#: Binding strength of each binary operator, by its text; higher binds
+#: tighter.  The parser, the pretty printer and the IR listing read it.
+PRECEDENCE: dict[str, int] = {
+    "||": 1,
+    "&&": 2,
+    "==": 3,
+    "!=": 3,
+    "<": 3,
+    "<=": 3,
+    ">": 3,
+    ">=": 3,
+    "+": 4,
+    "-": 4,
+    "*": 5,
+    "/": 5,
+    "%": 5,
+}
+#: A unary operator binds tighter than every binary one.
+UNARY_PRECEDENCE = 6
+
+#: Operators the grammar does not chain: ``a < b < c`` is a parse error.
+NON_ASSOCIATIVE = frozenset({"==", "!=", "<", "<=", ">", ">="})

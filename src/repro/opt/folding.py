@@ -11,7 +11,7 @@ it.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import VMError
 from repro.ir.expr import EBin, ECall, EConst, EUn, EVar, IRExpr
@@ -22,6 +22,7 @@ __all__ = [
     "UNARY_OPS",
     "apply_binop",
     "apply_unop",
+    "default_functions",
     "eval_expr",
     "eval_expr_concrete",
 ]
@@ -147,12 +148,23 @@ def fold_expr(expr: IRExpr) -> IRExpr:
     return expr
 
 
-def eval_expr_concrete(
-    expr: IRExpr,
-    env: Callable[[str], int],
-    call: Optional[Callable[[str, list[int]], int]] = None,
-) -> int:
-    """Concrete evaluation; ``env`` maps names to ints.
+def default_functions(name: str, args: list[int]) -> int:
+    """Deterministic stand-in for opaque pure functions: the value of a
+    call in expression position, wherever a program runs.
+
+    Any pure deterministic binding is semantically admissible (the
+    static analyses treat calls as unknown values); this one mixes the
+    name and arguments so different calls give different values.
+    """
+    acc = sum(ord(c) for c in name) * 131
+    for i, a in enumerate(args):
+        acc = acc * 31 + (i + 1) * a
+    return acc % 1009 - 504
+
+
+def eval_expr_concrete(expr: IRExpr, env: Callable[[str], int]) -> int:
+    """Concrete evaluation; ``env`` maps names to ints, and a call
+    evaluates through :func:`default_functions`.
 
     The reference semantics of the VM: :func:`repro.vm.machine.compile_expr`
     compiles an expression to a closure that must agree with this
@@ -163,14 +175,11 @@ def eval_expr_concrete(
     if isinstance(expr, EVar):
         return env(expr.name)
     if isinstance(expr, ECall):
-        args = [eval_expr_concrete(a, env, call) for a in expr.args]
-        if call is None:
-            raise VMError(f"no binding for function {expr.func!r}")
-        return call(expr.func, args)
+        return default_functions(expr.func, [eval_expr_concrete(a, env) for a in expr.args])
     if isinstance(expr, EUn):
-        return apply_unop(expr.op, eval_expr_concrete(expr.operand, env, call))
+        return apply_unop(expr.op, eval_expr_concrete(expr.operand, env))
     if isinstance(expr, EBin):
-        left = eval_expr_concrete(expr.left, env, call)
-        right = eval_expr_concrete(expr.right, env, call)
+        left = eval_expr_concrete(expr.left, env)
+        right = eval_expr_concrete(expr.right, env)
         return apply_binop(expr.op, left, right)
     raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover

@@ -14,7 +14,7 @@ from repro.cfg.blocks import NodeKind
 from repro.cssa.builder import CSSAForm
 from repro.ir.stmts import Phi, Pi, SAssign
 from repro.ir.structured import ProgramIR, count_statements, iter_statements
-from repro.vm.machine import run_random
+from repro.vm.machine import DEFAULT_FUEL, run_random
 
 __all__ = [
     "FormMetrics",
@@ -83,7 +83,7 @@ def pfg_inventory(form: CSSAForm) -> dict[str, int]:
 def critical_section_profile(
     program: ProgramIR,
     seeds: Iterable[int] = range(8),
-    fuel: int = 1_000_000,
+    fuel: int = DEFAULT_FUEL,
 ) -> dict[str, float]:
     """Average per-run lock statistics under the random scheduler.
 

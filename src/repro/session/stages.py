@@ -51,6 +51,7 @@ from repro.mutex.warnings import SyncWarning, check_synchronization
 from repro.obs.trace import get_tracer
 from repro.opt.pipeline import DEFAULT_PASSES, optimize
 from repro.vm.compile import compile_program
+from repro.vm.machine import DEFAULT_FUEL
 
 __all__ = ["STAGES", "StageSpec", "WIRE_STAGES", "stage_order"]
 
@@ -178,7 +179,7 @@ _TABLE: tuple[tuple[Optional[str], StageSpec], ...] = (
             {
                 "runs": 16,
                 "seed_base": 0,
-                "fuel": 1_000_000,
+                "fuel": DEFAULT_FUEL,
                 "explore": True,
                 "max_states": 20_000,
             },

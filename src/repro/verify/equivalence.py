@@ -23,12 +23,12 @@ Verification therefore uses two relations:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from repro.errors import AnalysisError
 from repro.ir.structured import ProgramIR
-from repro.vm.explore import explore
-from repro.vm.machine import run_random
+from repro.vm.explore import DEFAULT_MAX_STATES, explore
+from repro.vm.machine import DEFAULT_FUEL, run_random
 
 __all__ = [
     "EquivalenceResult",
@@ -99,16 +99,15 @@ class EquivalenceResult:
 def exhaustive_refinement(
     source: ProgramIR,
     refined: ProgramIR,
-    functions: Optional[Callable[[str, list[int]], int]] = None,
-    max_states: int = 200_000,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> EquivalenceResult:
     """Check ``outcomes(source) ⊆ outcomes(refined)``.
 
     The result's ``equal`` is True when the subset relation holds;
     ``only_original`` lists the violating outcomes (must be empty).
     """
-    a = explore(source, functions=functions, max_states=max_states)
-    b = explore(refined, functions=functions, max_states=max_states)
+    a = explore(source, max_states=max_states)
+    b = explore(refined, max_states=max_states)
     missing = frozenset(a.outcomes - b.outcomes)
     return EquivalenceResult(
         equal=not missing,
@@ -123,12 +122,11 @@ def exhaustive_refinement(
 def exhaustive_equivalence(
     original: ProgramIR,
     transformed: ProgramIR,
-    functions: Optional[Callable[[str, list[int]], int]] = None,
-    max_states: int = 200_000,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> EquivalenceResult:
     """Explore every schedule of both programs and compare outcome sets."""
-    a = explore(original, functions=functions, max_states=max_states)
-    b = explore(transformed, functions=functions, max_states=max_states)
+    a = explore(original, max_states=max_states)
+    b = explore(transformed, max_states=max_states)
     equal = a.outcomes == b.outcomes
     return EquivalenceResult(
         equal=equal,
@@ -144,8 +142,7 @@ def sampled_equivalence(
     original: ProgramIR,
     transformed: ProgramIR,
     seeds: Iterable[int] = range(64),
-    functions: Optional[Callable[[str, list[int]], int]] = None,
-    fuel: int = 1_000_000,
+    fuel: int = DEFAULT_FUEL,
 ) -> EquivalenceResult:
     """Compare outcome sets observed over seeded random schedules.
 
@@ -157,13 +154,11 @@ def sampled_equivalence(
     """
     seed_list = list(seeds)
     a = {
-        run_random(original, seed=s, functions=functions, fuel=fuel,
-                   raise_on_deadlock=False).output_key()
+        run_random(original, seed=s, fuel=fuel, raise_on_deadlock=False).output_key()
         for s in seed_list
     }
     b = {
-        run_random(transformed, seed=s, functions=functions, fuel=fuel,
-                    raise_on_deadlock=False).output_key()
+        run_random(transformed, seed=s, fuel=fuel, raise_on_deadlock=False).output_key()
         for s in seed_list
     }
     return EquivalenceResult(
@@ -179,8 +174,7 @@ def sampled_equivalence(
 def deterministic_output(
     program: ProgramIR,
     seeds: Iterable[int] = range(16),
-    functions: Optional[Callable[[str, list[int]], int]] = None,
-    fuel: int = 1_000_000,
+    fuel: int = DEFAULT_FUEL,
 ) -> tuple:
     """The program's single output, asserting schedule independence.
 
@@ -189,7 +183,7 @@ def deterministic_output(
     """
     outputs = set()
     for s in seeds:
-        outputs.add(run_random(program, seed=s, functions=functions, fuel=fuel).output_key())
+        outputs.add(run_random(program, seed=s, fuel=fuel).output_key())
         if len(outputs) > 1:
             raise AnalysisError(
                 f"program output depends on the schedule: {sorted(outputs)[:2]}"

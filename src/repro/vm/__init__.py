@@ -13,21 +13,24 @@ atomically).
   conventional-SSA runtime meaning.
 * :mod:`repro.vm.machine` — the one transition function
   (``Machine.step``) and a seeded random scheduler / replay loop around
-  it with fuel, deadlock detection, and per-lock hold-time
-  instrumentation (used to measure what LICM buys).
+  it with fuel (:data:`DEFAULT_FUEL` steps by default), deadlock
+  detection, and per-lock hold-time instrumentation (used to measure
+  what LICM buys).
 * :mod:`repro.vm.explore` — an exhaustive interleaving explorer (a tiny
   model checker with state memoization) that steps the same machine
   and enumerates *every* reachable output sequence of a small program;
   the verification suite uses it to prove optimizations preserve the
-  full behaviour set.
+  full behaviour set (:data:`DEFAULT_MAX_STATES` states by default).
 """
 
 from repro.vm.bytecode import Instr, Op, VMProgram
 from repro.vm.compile import compile_program
-from repro.vm.machine import Execution, VirtualMachine, run_random
-from repro.vm.explore import ExplorationResult, explore, find_witness
+from repro.vm.machine import DEFAULT_FUEL, Execution, VirtualMachine, run_random
+from repro.vm.explore import DEFAULT_MAX_STATES, ExplorationResult, explore, find_witness
 
 __all__ = [
+    "DEFAULT_FUEL",
+    "DEFAULT_MAX_STATES",
     "ExplorationResult",
     "Execution",
     "Instr",

@@ -22,16 +22,60 @@ part of the state: outcomes are composed from memoized suffixes.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterable, Optional, Union
+import threading
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.errors import VMError
 from repro.ir.structured import ProgramIR
 from repro.obs.trace import get_tracer
 from repro.vm.bytecode import VMProgram
 from repro.vm.compile import compile_program
-from repro.vm.machine import Machine, default_functions
+from repro.vm.machine import Machine
 
-__all__ = ["ExplorationResult", "explore", "find_witness", "print_outcomes"]
+__all__ = [
+    "DEFAULT_MAX_STATES",
+    "ExplorationResult",
+    "explore",
+    "find_witness",
+    "print_outcomes",
+]
+
+#: The default state budget of one search (:func:`explore`,
+#: :func:`find_witness`).
+DEFAULT_MAX_STATES = 200_000
+
+#: The recursion limit a search runs under: both searches spend a frame
+#: or two per step of the schedule they are on.
+_SEARCH_RECURSION_LIMIT = 100_000
+
+_recursion_lock = threading.Lock()
+#: searches running now, and the limit to restore when the last ends
+_recursion_users = 0
+_recursion_saved = 0
+
+
+@contextmanager
+def _search_recursion() -> Iterator[None]:
+    """Run a search under :data:`_SEARCH_RECURSION_LIMIT`.
+
+    The limit is process-wide, so overlapping searches share one raise:
+    the first to enter saves the limit and raises it, and the last to
+    leave restores it.
+    """
+    global _recursion_users, _recursion_saved
+    with _recursion_lock:
+        if _recursion_users == 0:
+            _recursion_saved = sys.getrecursionlimit()
+            sys.setrecursionlimit(max(_recursion_saved, _SEARCH_RECURSION_LIMIT))
+        _recursion_users += 1
+    try:
+        yield
+    finally:
+        with _recursion_lock:
+            _recursion_users -= 1
+            if _recursion_users == 0:
+                sys.setrecursionlimit(_recursion_saved)
 
 
 def print_outcomes(outcomes: Iterable[tuple]) -> frozenset:
@@ -87,13 +131,8 @@ class _Explorer:
     under the ``_ON_STACK`` sentinel, the states on the DFS path (a
     revisit of one is a livelock)."""
 
-    def __init__(
-        self,
-        program: VMProgram,
-        functions: Callable[[str, list[int]], int],
-        max_states: int,
-    ) -> None:
-        self.machine = Machine(program, functions)
+    def __init__(self, program: VMProgram, max_states: int) -> None:
+        self.machine = Machine(program)
         self.step = self.machine.step
         self.runnable = self.machine.runnable
         self.max_states = max_states
@@ -152,8 +191,7 @@ class _Explorer:
 def find_witness(
     program: Union[VMProgram, ProgramIR],
     outcome: tuple,
-    functions: Optional[Callable[[str, list[int]], int]] = None,
-    max_states: int = 200_000,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> Optional[list[tuple]]:
     """Find a schedule (list of thread ids, in step order) whose
     observable outcome is exactly ``outcome``.
@@ -166,7 +204,7 @@ def find_witness(
     """
     if isinstance(program, ProgramIR):
         program = compile_program(program)
-    machine = Machine(program, functions or default_functions)
+    machine = Machine(program)
 
     # Depth-first search over (state, produced-prefix) pairs.  The memo
     # keyed by (state, remaining-suffix) bounds the search.
@@ -207,26 +245,21 @@ def find_witness(
             schedule.pop()
         return None
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 100_000))
-    tracer = get_tracer()
-    try:
-        with tracer.span("find-witness", max_states=max_states) as span:
-            schedule = dfs(machine.initial, tuple(outcome), [])
-            span.set(
-                found=schedule is not None,
-                states_considered=len(seen),
-                schedule_length=0 if schedule is None else len(schedule),
-            )
-        return schedule
-    finally:
-        sys.setrecursionlimit(old_limit)
+    with _search_recursion(), get_tracer().span(
+        "find-witness", max_states=max_states
+    ) as span:
+        schedule = dfs(machine.initial, tuple(outcome), [])
+        span.set(
+            found=schedule is not None,
+            states_considered=len(seen),
+            schedule_length=0 if schedule is None else len(schedule),
+        )
+    return schedule
 
 
 def explore(
     program: Union[VMProgram, ProgramIR],
-    functions: Optional[Callable[[str, list[int]], int]] = None,
-    max_states: int = 200_000,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> ExplorationResult:
     """Enumerate every schedule of ``program``.
 
@@ -236,20 +269,15 @@ def explore(
     """
     if isinstance(program, ProgramIR):
         program = compile_program(program)
-    explorer = _Explorer(program, functions or default_functions, max_states)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 100_000))
+    explorer = _Explorer(program, max_states)
     tracer = get_tracer()
-    try:
-        with tracer.span("explore", max_states=max_states) as span:
-            outcomes = explorer.outcomes(explorer.machine.initial)
-            span.set(
-                states=explorer.states,
-                outcomes=len(outcomes),
-                complete=not explorer.truncated,
-            )
-    finally:
-        sys.setrecursionlimit(old_limit)
+    with _search_recursion(), tracer.span("explore", max_states=max_states) as span:
+        outcomes = explorer.outcomes(explorer.machine.initial)
+        span.set(
+            states=explorer.states,
+            outcomes=len(outcomes),
+            complete=not explorer.truncated,
+        )
     result = ExplorationResult(
         outcomes, states=explorer.states, complete=not explorer.truncated
     )

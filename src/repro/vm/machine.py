@@ -31,8 +31,8 @@ Semantics:
 * ``wait`` blocks until the event has been ``set`` (events are sticky:
   Set with no Clear, as in the paper);
 * ``print`` and opaque call *statements* are the observable events of a
-  program; calls in expression position are pure and evaluated through a
-  deterministic binding (user-suppliable).
+  program; calls in expression position are pure and evaluated through
+  one deterministic binding, :func:`default_functions`.
 
 Instrumentation (:class:`VirtualMachine` only): per lock, how many
 global steps it was held and how many steps threads spent blocked on
@@ -55,11 +55,18 @@ from repro.obs.events import (
     VMStep,
 )
 from repro.obs.trace import get_tracer
-from repro.opt.folding import BINARY_OPS, UNARY_OPS, apply_binop, apply_unop
+from repro.opt.folding import (
+    BINARY_OPS,
+    UNARY_OPS,
+    apply_binop,
+    apply_unop,
+    default_functions,
+)
 from repro.vm.bytecode import Op, VMProgram
 from repro.vm.compile import compile_program
 
 __all__ = [
+    "DEFAULT_FUEL",
     "Execution",
     "Machine",
     "VirtualMachine",
@@ -68,26 +75,18 @@ __all__ = [
     "run_random",
 ]
 
-#: An expression compiled by :func:`compile_expr`: (memory, functions) → int.
-Evaluator = Callable[[tuple, Callable[[str, list[int]], int]], int]
+#: An expression compiled by :func:`compile_expr`: memory tuple → int.
+Evaluator = Callable[[tuple], int]
 
-
-def default_functions(name: str, args: list[int]) -> int:
-    """Deterministic stand-in for opaque pure functions.
-
-    Any pure deterministic binding is semantically admissible (the
-    static analyses treat calls as unknown values); this one mixes the
-    name and arguments so different calls give different values.
-    """
-    acc = sum(ord(c) for c in name) * 131
-    for i, a in enumerate(args):
-        acc = acc * 31 + (i + 1) * a
-    return acc % 1009 - 504
+#: The default step budget of one run: a seeded run stops with
+#: :class:`StepLimitExceeded` after this many steps.
+DEFAULT_FUEL = 1_000_000
 
 
 def compile_expr(expr: IRExpr, slots: dict[str, int]) -> Evaluator:
-    """``expr`` as a closure over (memory tuple, function binding); a
-    variable reads ``memory[slots[name]]``.
+    """``expr`` as a closure over the memory tuple; a variable reads
+    ``memory[slots[name]]`` and a call evaluates through
+    :func:`default_functions`.
 
     The closure has the semantics of
     :func:`repro.opt.folding.eval_expr_concrete`, the reference the tests
@@ -98,22 +97,20 @@ def compile_expr(expr: IRExpr, slots: dict[str, int]) -> Evaluator:
     """
     if isinstance(expr, EConst):
         value = expr.value
-        return lambda memory, functions: value
+        return lambda memory: value
     if isinstance(expr, EVar):
         slot = slots[expr.name]
-        return lambda memory, functions: memory[slot]
+        return lambda memory: memory[slot]
     if isinstance(expr, ECall):
         func = expr.func
         args = [compile_expr(arg, slots) for arg in expr.args]
-        return lambda memory, functions: functions(
-            func, [arg(memory, functions) for arg in args]
-        )
+        return lambda memory: default_functions(func, [arg(memory) for arg in args])
     if isinstance(expr, EUn):
         op, operand = expr.op, compile_expr(expr.operand, slots)
         unop = UNARY_OPS.get(op)
         if unop is None:
-            return lambda memory, functions: apply_unop(op, operand(memory, functions))
-        return lambda memory, functions: unop(operand(memory, functions))
+            return lambda memory: apply_unop(op, operand(memory))
+        return lambda memory: unop(operand(memory))
     if isinstance(expr, EBin):
         op, left, right = expr.op, expr.left, expr.right
         binop = BINARY_OPS.get(op)
@@ -121,21 +118,17 @@ def compile_expr(expr: IRExpr, slots: dict[str, int]) -> Evaluator:
             a = slots[left.name]
             if isinstance(right, EVar):
                 b = slots[right.name]
-                return lambda memory, functions: binop(memory[a], memory[b])
+                return lambda memory: binop(memory[a], memory[b])
             if isinstance(right, EConst):
                 b = right.value
-                return lambda memory, functions: binop(memory[a], b)
+                return lambda memory: binop(memory[a], b)
         if binop is not None and isinstance(left, EConst) and isinstance(right, EVar):
             a, b = left.value, slots[right.name]
-            return lambda memory, functions: binop(a, memory[b])
+            return lambda memory: binop(a, memory[b])
         lhs, rhs = compile_expr(left, slots), compile_expr(right, slots)
         if binop is None:
-            return lambda memory, functions: apply_binop(
-                op, lhs(memory, functions), rhs(memory, functions)
-            )
-        return lambda memory, functions: binop(
-            lhs(memory, functions), rhs(memory, functions)
-        )
+            return lambda memory: apply_binop(op, lhs(memory), rhs(memory))
+        return lambda memory: binop(lhs(memory), rhs(memory))
     raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
 
 
@@ -212,11 +205,7 @@ class Machine:
     explorer drives it over every schedule from :attr:`initial`.
     """
 
-    def __init__(
-        self,
-        program: VMProgram,
-        functions: Callable[[str, list[int]], int],
-    ) -> None:
+    def __init__(self, program: VMProgram) -> None:
         layout = program.derived("machine", _Layout)
         self.program = program
         self.instrs = program.instrs
@@ -224,7 +213,6 @@ class Machine:
         self.slots = layout.slots
         self.evaluators = layout.evaluators
         self.gates = layout.gates
-        self.functions = functions
         #: the state before the first step
         self.initial: tuple = layout.initial
 
@@ -263,19 +251,13 @@ class Machine:
         next_pc = pc + 1
         if op is Op.ASSIGN:
             slot = self.slots[pc]
-            value = self.evaluators[pc](memory, self.functions)
+            value = self.evaluators[pc](memory)
             if memory[slot] != value:
                 memory = memory[:slot] + (value,) + memory[slot + 1:]
         elif op is Op.PRINT:
-            functions = self.functions
-            event = ("print", tuple(arg(memory, functions) for arg in self.evaluators[pc]))
+            event = ("print", tuple(arg(memory) for arg in self.evaluators[pc]))
         elif op is Op.CALL:
-            functions = self.functions
-            event = (
-                "call",
-                instr.name,
-                tuple(arg(memory, functions) for arg in self.evaluators[pc]),
-            )
+            event = ("call", instr.name, tuple(arg(memory) for arg in self.evaluators[pc]))
         elif op is Op.LOCK:
             slot = self.slots[pc]
             if locks[slot] is not None:  # pragma: no cover - defensive
@@ -313,7 +295,7 @@ class Machine:
         elif op is Op.JUMP:
             next_pc = instr.target
         elif op is Op.BRANCH:
-            if self.evaluators[pc](memory, self.functions) == 0:
+            if self.evaluators[pc](memory) == 0:
                 next_pc = instr.target
         elif op is Op.COBEGIN:
             # A child's spawn path sorts right after its parent's.
@@ -389,13 +371,12 @@ class VirtualMachine(Machine):
         self,
         program: Union[VMProgram, ProgramIR],
         seed: int = 0,
-        functions: Optional[Callable[[str, list[int]], int]] = None,
-        fuel: int = 1_000_000,
+        fuel: int = DEFAULT_FUEL,
         hb: Optional[object] = None,
     ) -> None:
         if isinstance(program, ProgramIR):
             program = compile_program(program)
-        super().__init__(program, functions or default_functions)
+        super().__init__(program)
         #: the current machine state
         self.state = self.initial
         self.rng = random.Random(seed)
@@ -603,8 +584,7 @@ class VirtualMachine(Machine):
 def run_random(
     program: Union[VMProgram, ProgramIR],
     seed: int = 0,
-    functions: Optional[Callable[[str, list[int]], int]] = None,
-    fuel: int = 1_000_000,
+    fuel: int = DEFAULT_FUEL,
     raise_on_deadlock: bool = True,
     hb: Optional[object] = None,
 ) -> Execution:
@@ -613,5 +593,5 @@ def run_random(
     ``hb`` attaches a :class:`repro.dynamic.hb.HBTracker` for
     happens-before tracking and online race detection.
     """
-    vm = VirtualMachine(program, seed=seed, functions=functions, fuel=fuel, hb=hb)
+    vm = VirtualMachine(program, seed=seed, fuel=fuel, hb=hb)
     return vm.run(raise_on_deadlock=raise_on_deadlock)

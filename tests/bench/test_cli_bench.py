@@ -12,11 +12,13 @@ from tests.conftest import FIGURE2_SOURCE
 
 
 @pytest.fixture()
-def fake_suite(monkeypatch):
-    """A private registry with one deterministic benchmark; discovery
-    disabled so the real benchmarks don't leak in."""
+def fake_suite(monkeypatch, tmp_path):
+    """A private registry with one deterministic benchmark, run from an
+    empty working directory; discovery disabled so the real benchmarks
+    don't leak in."""
     monkeypatch.setattr(reg, "_REGISTRY", {})
     monkeypatch.setattr(repro.bench, "discover", lambda package="benchmarks": 1)
+    monkeypatch.chdir(tmp_path)
 
     @reg.register("toy", group="fast", summary="deterministic toy")
     def toy():
@@ -26,74 +28,82 @@ def fake_suite(monkeypatch):
     return reg
 
 
-def _bench(tmp_path, *extra):
-    history = tmp_path / "hist.jsonl"
-    return main(["bench", "--group", "fast", "--repeat", "2",
-                 "--history", str(history), *extra]), history
+def _bench(*extra):
+    return main(["bench", "--group", "fast", "--repeat", "2", *extra])
 
 
-def test_bench_runs_and_appends(fake_suite, tmp_path, capsys):
-    code, history = _bench(tmp_path)
-    assert code == 0
+def test_bench_runs_and_appends(fake_suite, capsys):
+    assert _bench() == 0
     out = capsys.readouterr().out
-    assert "toy" in out and "appended record #1" in out
-    records = repro.bench.load_history(history)
-    assert len(records) == 1
-    assert records[0]["results"]["toy"]["counters"] == {"work.toy.visits": 10}
+    assert "toy" in out and "appended" not in out
+
+
+def test_plain_bench_writes_no_file(fake_suite, tmp_path):
+    assert _bench() == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_check_passes_on_identical_reruns(fake_suite, tmp_path, capsys):
-    code1, history = _bench(tmp_path)
-    code2, _ = _bench(tmp_path, "--check")
-    assert (code1, code2) == (0, 0)
+    assert _bench("--json", "record.json") == 0
+    assert _bench("--check", "--baseline", "record.json") == 0
     assert "no regressions" in capsys.readouterr().out
-    assert len(repro.bench.load_history(history)) == 2
 
 
-def test_bench_check_vacuous_without_baseline(fake_suite, tmp_path, capsys):
-    code, _ = _bench(tmp_path, "--check")
-    assert code == 0
-    assert "vacuously" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "flags, content",
+    [
+        ((), None),  # the default BENCH_baseline.json, absent here
+        (("--baseline", "absent.json"), None),
+        (("--baseline", "b.json"), '{"schema": "repro.bench/record/v1", "resu'),
+        (("--baseline", "b.json"), "[1, 2]"),
+        (("--baseline", "b.json"), '{"schema": "other/v0", "results": {}}'),
+        (("--baseline", "b.json"), '{"schema": "repro.bench/record/v1", "results": 7}'),
+    ],
+)
+def test_bench_check_unreadable_baseline_exits_3(
+    fake_suite, tmp_path, capsys, flags, content
+):
+    if content is not None:
+        (tmp_path / "b.json").write_text(content)
+    assert _bench("--check", *flags) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [E_IO] ")
+    assert "toy" not in captured.out  # refused before any benchmark ran
 
 
 def test_bench_check_fails_on_inflated_counters(fake_suite, tmp_path, capsys):
-    code1, history = _bench(tmp_path)
-    assert code1 == 0
+    assert _bench("--json", "record.json") == 0
     # Doctor a baseline that claims the work used to be half: the
     # current (unchanged) run then looks 2x inflated and must fail.
-    baseline = repro.bench.load_history(history)[0]
+    baseline = json.loads((tmp_path / "record.json").read_text())
     baseline["results"]["toy"]["counters"]["work.toy.visits"] = 5
-    doctored = tmp_path / "baseline.json"
-    doctored.write_text(json.dumps(baseline))
-    code2, _ = _bench(tmp_path, "--check", "--baseline", str(doctored))
-    assert code2 == 1
-    assert "[counter] toy" in capsys.readouterr().out
+    (tmp_path / "baseline.json").write_text(json.dumps(baseline))
+    assert _bench("--check", "--baseline", "baseline.json") == 1
+    out = capsys.readouterr().out
+    assert "[counter] toy" in out and "work.toy.visits grew 5 -> 10" in out
 
 
-def test_bench_errors_exit_nonzero(fake_suite, tmp_path, capsys):
+def test_bench_errors_exit_nonzero(fake_suite, capsys):
     @reg.register("broken", group="fast")
     def broken():
         raise RuntimeError("kaput")
 
-    code, _ = _bench(tmp_path)
-    assert code == 1
+    assert _bench() == 1
     err = capsys.readouterr().err
     assert "broken" in err and "kaput" in err
 
 
-def test_bench_list_and_unknown_name(fake_suite, tmp_path, capsys):
+def test_bench_list_and_unknown_name(fake_suite, capsys):
     assert main(["bench", "--list"]) == 0
     assert "toy" in capsys.readouterr().out
-    assert main(["bench", "nope", "--history",
-                 str(tmp_path / "h.jsonl")]) == 3
+    assert main(["bench", "nope"]) == 3
 
 
 def test_bench_json_record(fake_suite, tmp_path):
-    out = tmp_path / "record.json"
-    code, _ = _bench(tmp_path, "--json", str(out))
-    assert code == 0
-    record = json.loads(out.read_text())
+    assert _bench("--json", "record.json") == 0
+    record = json.loads((tmp_path / "record.json").read_text())
     assert record["results"]["toy"]["payload"] == {"answer": 42}
+    assert record["results"]["toy"]["counters"] == {"work.toy.visits": 10}
 
 
 def test_profile_command_tables(tmp_path, capsys):

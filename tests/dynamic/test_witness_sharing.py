@@ -35,7 +35,7 @@ def _assert_same_verdicts(source: str) -> None:
     report = audit_source(source, do_explore=False)
     compiled = compile_program(build(source))
     expected = oracle_verified(compiled, report.dynamic)
-    verified, replays, _ = _verify_witnesses(compiled, report.dynamic, None)
+    verified, replays, _ = _verify_witnesses(compiled, report.dynamic)
     assert verified == expected
     assert replays <= len(report.seeds)
     for finding in report.confirmed:
@@ -79,7 +79,7 @@ def test_generated_racy_programs_verify_as_per_race_replay(config, first_seed):
     compiled = compile_program(generate_program(config))
     seeds = range(first_seed, first_seed + 4)
     races = _races_of_runs(compiled, seeds)
-    verified, replays, steps = _verify_witnesses(compiled, races, None)
+    verified, replays, steps = _verify_witnesses(compiled, races)
     assert verified == oracle_verified(compiled, races)
     assert replays <= len(seeds)
     assert steps <= sum(len(r.witness) for r in races)
@@ -118,14 +118,14 @@ def test_a_host_that_fails_partway_verifies_only_the_witnesses_before_it():
         )
 
     broken = fabricated(long)
-    verified, replays, steps = _verify_witnesses(compiled, [short, broken], None)
+    verified, replays, steps = _verify_witnesses(compiled, [short, broken])
     assert verified == {short.pair_key()}
     assert (replays, steps) == (1, k)
     assert oracle_verified(compiled, [short, broken]) == verified
     # ``short``'s pair is detected before step k, but this witness
     # reaches step k, so its own replay would fail.
     reaching = fabricated(short)
-    assert _verify_witnesses(compiled, [reaching], None)[0] == set()
+    assert _verify_witnesses(compiled, [reaching])[0] == set()
     assert oracle_verified(compiled, [reaching]) == set()
     # Unbroken, the long witness verifies.
-    assert long.pair_key() in _verify_witnesses(compiled, [short, long], None)[0]
+    assert long.pair_key() in _verify_witnesses(compiled, [short, long])[0]

@@ -9,8 +9,6 @@ audit tests check that the shared replays verify exactly the same races.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.dynamic.hb import DynamicRace, HBTracker
 from repro.vm.bytecode import VMProgram
 from repro.vm.machine import VirtualMachine
@@ -18,16 +16,12 @@ from repro.vm.machine import VirtualMachine
 __all__ = ["oracle_verified"]
 
 
-def oracle_verified(
-    compiled: VMProgram,
-    races: list[DynamicRace],
-    functions: Optional[Callable[[str, list[int]], int]] = None,
-) -> set[tuple]:
+def oracle_verified(compiled: VMProgram, races: list[DynamicRace]) -> set[tuple]:
     """Pair keys of the races whose own witness replay re-detects them."""
     verified: set[tuple] = set()
     for race in races:
         hb = HBTracker(compiled)
-        vm = VirtualMachine(compiled, functions=functions, hb=hb)
+        vm = VirtualMachine(compiled, hb=hb)
         try:
             vm.replay(list(race.witness))
         except Exception:  # noqa: BLE001 - an unreplayable witness is a bug

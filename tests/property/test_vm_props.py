@@ -10,7 +10,7 @@ from repro.lang.parser import parse
 from repro.synth import GeneratorConfig, generate_program
 from repro.vm.compile import compile_program
 from repro.vm.explore import explore
-from repro.vm.machine import Machine, VirtualMachine, default_functions, run_random
+from repro.vm.machine import Machine, VirtualMachine, run_random
 from tests.vm.explore_oracle import oracle_explore, oracle_transitions
 
 _configs = st.builds(
@@ -140,7 +140,7 @@ def _successors_match_oracle(program, max_states=200_000):
     """``Machine.step`` on slot-indexed states gives the oracle's next
     state for every transition the oracle explores, through the
     bijection between the two state encodings."""
-    machine = Machine(program, default_functions)
+    machine = Machine(program)
     layout = machine.layout
     transitions = oracle_transitions(program, max_states=max_states)
     for state, moves in transitions.items():

@@ -15,25 +15,18 @@ no witness search.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import VMError
 from repro.opt.folding import eval_expr_concrete
 from repro.vm.bytecode import Op, VMProgram
-from repro.vm.machine import default_functions
 
 __all__ = ["oracle_explore", "oracle_transitions"]
 
 
 class _OracleExplorer:
-    def __init__(
-        self,
-        program: VMProgram,
-        functions: Callable[[str, list[int]], int],
-        max_states: int,
-    ) -> None:
+    def __init__(self, program: VMProgram, max_states: int) -> None:
         self.program = program
-        self.functions = functions
         self.max_states = max_states
         self.memo: dict[tuple, frozenset] = {}
         self.gray: set[tuple] = set()
@@ -44,9 +37,7 @@ class _OracleExplorer:
         return (threads, (), (), ())
 
     def _eval(self, expr, memory: dict) -> int:
-        return eval_expr_concrete(
-            expr, lambda name: memory.get(name, 0), self.functions
-        )
+        return eval_expr_concrete(expr, lambda name: memory.get(name, 0))
 
     def _runnable(self, state: tuple) -> list[int]:
         threads, _memory_t, locks_t, events_t = state
@@ -185,24 +176,22 @@ class _OracleExplorer:
 
 def oracle_explore(
     program: VMProgram,
-    functions: Optional[Callable[[str, list[int]], int]] = None,
     max_states: int = 200_000,
 ) -> tuple[frozenset, int, bool]:
     """``(outcomes, states, complete)`` of ``program`` by the oracle."""
-    explorer = _OracleExplorer(program, functions or default_functions, max_states)
+    explorer = _OracleExplorer(program, max_states)
     outcomes = explorer.outcomes(explorer.initial_state())
     return outcomes, len(explorer.memo), not explorer.truncated
 
 
 def oracle_transitions(
     program: VMProgram,
-    functions: Optional[Callable[[str, list[int]], int]] = None,
     max_states: int = 200_000,
 ) -> dict[tuple, list[tuple]]:
     """Every state the oracle memoizes → its ``(tid, event, next_state)``
     transitions, one per runnable thread; a failing step is
     ``(tid, ("error",), None)``."""
-    explorer = _OracleExplorer(program, functions or default_functions, max_states)
+    explorer = _OracleExplorer(program, max_states)
     explorer.outcomes(explorer.initial_state())
     transitions = {}
     for state in explorer.memo:

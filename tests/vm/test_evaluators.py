@@ -17,7 +17,8 @@ from repro.ir.expr import EBin, ECall, EConst, EUn, EVar
 from repro.opt.folding import BINARY_OPS, UNARY_OPS, eval_expr_concrete
 from repro.vm import explore
 from repro.vm.compile import compile_program
-from repro.vm.machine import VirtualMachine, compile_expr, default_functions, run_random
+from repro.vm import machine
+from repro.vm.machine import VirtualMachine, compile_expr, run_random
 from tests.conftest import build
 
 _NAMES = ["a", "b", "c"]
@@ -49,19 +50,17 @@ def _outcome(fn):
     return (type(value), value)
 
 
-def _compiled(expr, memory, functions=default_functions):
+def _compiled(expr, memory):
     """``expr`` compiled against :data:`_SLOTS`, evaluated on ``memory``
     laid out as a memory tuple."""
     values = tuple(memory.get(name, 0) for name in _SLOTS)
-    return compile_expr(expr, _SLOTS)(values, functions)
+    return compile_expr(expr, _SLOTS)(values)
 
 
 def _both(expr, memory):
     compiled = _outcome(lambda: _compiled(expr, memory))
     reference = _outcome(
-        lambda: eval_expr_concrete(
-            expr, lambda name: memory.get(name, 0), default_functions
-        )
+        lambda: eval_expr_concrete(expr, lambda name: memory.get(name, 0))
     )
     return compiled, reference
 
@@ -104,15 +103,16 @@ def test_unknown_operator_raises_when_evaluated_not_when_compiled(expr, message)
     assert compiled == reference == ("error", message)
 
 
-def test_custom_binding_receives_evaluated_arguments():
+def test_custom_binding_receives_evaluated_arguments(monkeypatch):
     seen = []
 
     def binding(name, args):
         seen.append((name, args))
         return len(args)
 
+    monkeypatch.setattr(machine, "default_functions", binding)
     expr = EBin("+", ECall("h", [EVar("a"), EConst(-2)]), ECall("k", []))
-    assert _compiled(expr, {"a": 5}, binding) == 2
+    assert _compiled(expr, {"a": 5}) == 2
     assert seen == [("h", [5, -2]), ("k", [])]
 
 

@@ -1,7 +1,13 @@
 """Exhaustive interleaving exploration."""
 
-from repro.vm.explore import explore
-from repro.vm.machine import run_random
+import sys
+import threading
+
+import pytest
+
+from repro.vm.compile import compile_program
+from repro.vm.explore import explore, find_witness
+from repro.vm.machine import Machine, run_random
 from tests.conftest import build
 
 
@@ -134,3 +140,62 @@ class TestBudget:
         )
         assert res.complete
         assert res.states < 200
+
+
+class TestRecursionLimit:
+    """Searches raise the process-wide recursion limit; overlapping ones
+    share the raise, so the last to finish restores the prior limit."""
+
+    @pytest.fixture(autouse=True)
+    def _low_limit(self):
+        # Each test starts below the search limit, whatever an earlier
+        # test left behind, and the process gets its own limit back.
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(4_000)
+        yield
+        sys.setrecursionlimit(saved)
+
+    @pytest.mark.parametrize("first, held", [("explore", "witness"), ("witness", "explore")])
+    def test_overlapping_searches_restore_the_limit(self, monkeypatch, first, held):
+        program = compile_program(
+            build("cobegin begin print(1); end begin print(2); end coend")
+        )
+        both_orders = {
+            (("print", (1,)), ("print", (2,))),
+            (("print", (2,)), ("print", (1,))),
+        }
+        searches = {
+            "explore": lambda: explore(program).outcomes,
+            "witness": lambda: find_witness(program, (("print", (2,)), ("print", (1,)))),
+        }
+        results = {}
+        thread = threading.Thread(target=lambda: results.update({held: searches[held]()}))
+        entered, release = threading.Event(), threading.Event()
+        step = Machine.step
+
+        def held_step(machine, state, tid):
+            # The first search, at its first step, starts the second and
+            # waits until that one is held inside its first step; the
+            # first then finishes while the second is still searching.
+            if threading.current_thread() is thread:
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(timeout=30)
+            elif not entered.is_set():
+                thread.start()
+                assert entered.wait(timeout=30)
+            return step(machine, state, tid)
+
+        monkeypatch.setattr(Machine, "step", held_step)
+        prior = sys.getrecursionlimit()
+        try:
+            results[first] = searches[first]()
+            during = sys.getrecursionlimit()
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert sys.getrecursionlimit() == prior
+        assert during >= 100_000  # the held search still runs under the raise
+        assert results["explore"] == both_orders
+        assert results["witness"] is not None

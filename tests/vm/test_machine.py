@@ -46,10 +46,6 @@ class TestSequentialExecution:
         b = run("x = g(7); print(x);", seed=99).printed
         assert a == b
 
-    def test_custom_function_binding(self):
-        ex = run("x = g(7); print(x);", functions=lambda name, args: args[0] * 2)
-        assert ex.printed == [(14,)]
-
     def test_division_by_zero_raises(self):
         with pytest.raises(VMError):
             run("x = 1 / 0;")
