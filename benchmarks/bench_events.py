@@ -31,12 +31,15 @@ def _pipeline_source(n_stages: int) -> str:
     return "\n".join(lines)
 
 
-def _pipeline_pi_args(stages: int, enabled: bool) -> tuple[int, int]:
+def _pipeline_pi_args(stages: int) -> tuple[int, int, int]:
+    """π arguments without and with event-ordering pruning, and its
+    removals: the pruning drops ``args_removed`` conflict arguments
+    and one control argument per deleted π."""
     program = program_of(_pipeline_source(stages))
-    form = build_cssame(program, prune_events=enabled)
-    metrics = measure_form(program)
-    removed = form.ordering_stats.args_removed if form.ordering_stats else 0
-    return metrics.pi_args, removed
+    ordering = build_cssame(program).ordering_stats
+    with_events = measure_form(program).pi_args
+    without = with_events + ordering.args_removed + ordering.pis_deleted
+    return without, with_events, ordering.args_removed
 
 
 @register(
@@ -47,8 +50,7 @@ def _pipeline_pi_args(stages: int, enabled: bool) -> tuple[int, int]:
 def bench_events() -> dict:
     pipelines = {}
     for stages in (2, 3, 4):
-        without, _ = _pipeline_pi_args(stages, enabled=False)
-        with_events, removed = _pipeline_pi_args(stages, enabled=True)
+        without, with_events, removed = _pipeline_pi_args(stages)
         assert removed > 0 and with_events < without
         pipelines[str(stages)] = {
             "without": without,

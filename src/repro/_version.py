@@ -6,4 +6,4 @@ version into every cache key — can import it without touching the
 package root and its re-export graph.
 """
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"

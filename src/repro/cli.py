@@ -80,10 +80,10 @@ from repro import api
 from repro._version import __version__
 from repro.api import front_end
 from repro.errors import (
-    EXIT_ERROR,
     EXIT_FINDINGS,
     EXIT_OK,
     ReproError,
+    UsageError,
     error_code,
     exit_code_for,
 )
@@ -264,8 +264,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     results = batch.run_dir(args.directory)
     if not results:
-        print(f"error: no .par files under {args.directory}", file=sys.stderr)
-        return 3
+        raise UsageError(f"no .par files under {args.directory}")
     for result in results:
         print(result.summary())
     errors = sum(1 for r in results if not r.ok)
@@ -312,6 +311,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     work-counter and metrics tables."""
     import json
 
+    from repro.obs.metrics import Histogram
     from repro.obs.prof import WORK_PREFIX, profile_source
 
     source = _read_source(args.file)
@@ -335,13 +335,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     ]
     _print_table("per-pass timing", ["phase", "wall_ms", "detail"], rows)
 
-    removals = tracer.events_of_kind("pi-arg-removed")
-    if removals:
+    # One row per removed argument of each A.3 decision; ``pis`` counts
+    # the π terms that share the decision.
+    decisions = tracer.events_of_kind("pi-args-removed")
+    if decisions:
         print()
         _print_table(
             "A.3 conflict-argument removals",
-            ["pi", "var", "arg", "lock", "reason"],
-            [(e.pi, e.var, e.arg, e.lock, e.reason) for e in removals],
+            ["var", "arg", "lock", "reason", "pis"],
+            [
+                (e.var, arg.ssa_name, e.lock, reason, len(e.pis))
+                for e in decisions
+                for arg, reason in e.removed
+            ],
         )
 
     print()
@@ -374,11 +380,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         _print_table("counters", ["counter", "value"], sorted(counters.items()))
     # Span durations as a distribution: the percentile columns make
     # outlier passes visible at a glance (the VM's lock-hold histograms
-    # land here too when present).
-    span_hist = tracer.metrics.histogram("span_wall_ms")
+    # land here too when present).  The histogram is the table's own:
+    # a --trace export holds only what the run recorded.
+    span_hist = Histogram("span_wall_ms")
     for span in tracer.spans():
         span_hist.observe(span.duration * 1e3)
     histograms = tracer.metrics.as_dict()["histograms"]
+    histograms[span_hist.name] = span_hist.summary()
     print()
     _print_table(
         "histograms",
@@ -415,8 +423,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         benches = benchlib.select(group=args.group, names=args.names or None)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 3
+        raise UsageError(exc.args[0]) from None
     if args.list:
         _print_table(
             f"registered benchmarks ({modules} module(s) discovered)",
@@ -434,8 +441,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         return 0
     if not benches:
-        print("error: no benchmarks selected", file=sys.stderr)
-        return 3
+        raise UsageError("no benchmarks selected")
 
     # Read the baseline first: a missing or malformed one fails the gate
     # (E_IO, exit 3) before any benchmark runs.
@@ -528,9 +534,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
     try:
         options = json.loads(args.options) if args.options else {}
     except json.JSONDecodeError as exc:
-        print(f"error: [E_USAGE] --options is not valid JSON: {exc}",
-              file=sys.stderr)
-        return EXIT_ERROR
+        raise UsageError(f"--options is not valid JSON: {exc}") from None
     if args.kind != "compile":
         with ServeClient(args.host, args.port, timeout=args.timeout) as client:
             payload = client.ops() if args.kind == "ops" else client.ping()
@@ -660,8 +664,38 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return report.exit_code(strict=args.strict)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the CLI's error surface: a usage error raises
+    :class:`~repro.errors.UsageError` (``E_USAGE``, exit 3) instead of
+    exiting 2, the code the contract gives to deadlock.  Subcommand
+    parsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _at_least(minimum: int):
+    """An argparse ``type``: an int no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" names it
+    return parse
+
+
+#: counts and budgets (fuel, states, runs, seed base, queue limit,
+#: warmups): the wire schema rejects negative ints too
+_COUNT = _at_least(0)
+#: worker pool sizes and timed repeats
+_POSITIVE = _at_least(1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="CSSAME compiler driver (ICPP'98 reproduction)",
     )
@@ -681,17 +715,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "analyze", help="print the CSSAME/CSSA form", parents=[tracing]
-    )
-    p.add_argument("file")
-    p.add_argument("--cssa", action="store_true", help="skip Algorithm A.3")
-    p.set_defaults(func=_cmd_analyze)
+    def command(name: str, summary: str, func, operand: str = "file"):
+        """A traced subcommand reading one operand (a program file)."""
+        p = sub.add_parser(name, help=summary, parents=[tracing])
+        p.add_argument(operand)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser(
-        "optimize", help="run the optimization pipeline", parents=[tracing]
-    )
-    p.add_argument("file")
+    p = command("analyze", "print the CSSAME/CSSA form", _cmd_analyze)
+    p.add_argument("--cssa", action="store_true", help="skip Algorithm A.3")
+
+    p = command("optimize", "run the optimization pipeline", _cmd_optimize)
     p.add_argument("--cssa", action="store_true", help="use plain CSSA")
     p.add_argument(
         "--phases", action="store_true", help="show every phase listing"
@@ -700,24 +734,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--keep-prints", action="store_true",
         help="leave print arguments symbolic (paper-figure style)",
     )
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser(
-        "diagnose", help="Section 6 warnings and races", parents=[tracing]
-    )
-    p.add_argument("file")
+    p = command("diagnose", "Section 6 warnings and races", _cmd_diagnose)
     p.add_argument(
         "--strict", action=argparse.BooleanOptionalAction, default=True,
         help="exit 1 when findings exist (default; --no-strict exits 0)",
     )
-    p.set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser(
-        "run", help="execute under the interleaving VM", parents=[tracing]
-    )
-    p.add_argument("file")
+    p = command("run", "execute under the interleaving VM", _cmd_run)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_COUNT, default=DEFAULT_FUEL)
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--stats", action="store_true")
     p.add_argument(
@@ -725,24 +751,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the execution as JSON (events, steps, per-lock "
              "held/blocked counters and contention timeline)",
     )
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser(
-        "explore", help="enumerate every schedule", parents=[tracing]
-    )
-    p.add_argument("file")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p = command("explore", "enumerate every schedule", _cmd_explore)
+    p.add_argument("--max-states", type=_COUNT, default=DEFAULT_MAX_STATES)
     p.add_argument("--optimize", action="store_true")
-    p.set_defaults(func=_cmd_explore)
 
-    p = sub.add_parser(
+    p = command(
         "batch",
-        help="analyze+diagnose every .par file under a directory",
-        parents=[tracing],
+        "analyze+diagnose every .par file under a directory",
+        _cmd_batch, "directory",
     )
-    p.add_argument("directory")
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_POSITIVE, default=1, metavar="N",
         help="worker processes (default: 1 = serial in this process; "
              "only a serial run records into --trace)",
     )
@@ -759,44 +779,36 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict", action=argparse.BooleanOptionalAction, default=False,
         help="exit 1 when any file errored (default: report and exit 0)",
     )
-    p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser(
-        "dot", help="Graphviz rendering of the PFG", parents=[tracing]
-    )
-    p.add_argument("file")
+    p = command("dot", "Graphviz rendering of the PFG", _cmd_dot)
     p.add_argument("--cssa", action="store_true", help="plain CSSA PFG")
-    p.set_defaults(func=_cmd_dot)
 
-    p = sub.add_parser(
+    p = command(
         "witness",
-        help="find a schedule that prints the given values (or deadlocks)",
-        parents=[tracing],
+        "find a schedule that prints the given values (or deadlocks)",
+        _cmd_witness,
     )
-    p.add_argument("file")
     p.add_argument("values", nargs="*", help="expected single print's values")
     p.add_argument("--deadlock", action="store_true",
                    help="find a deadlocking schedule instead")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    p.set_defaults(func=_cmd_witness)
+    p.add_argument("--max-states", type=_COUNT, default=DEFAULT_MAX_STATES)
 
-    p = sub.add_parser(
+    p = command(
         "audit",
-        help="cross-validate static races against traced schedules",
-        parents=[tracing],
+        "cross-validate static races against traced schedules",
+        _cmd_audit,
     )
-    p.add_argument("file")
     audit = api.SERVE_STAGES["audit"]
     p.add_argument(
-        "--runs", type=int, default=audit["runs"], metavar="N",
+        "--runs", type=_COUNT, default=audit["runs"], metavar="N",
         help="seeded schedules to sample (default: %(default)s)",
     )
     p.add_argument(
-        "--seed-base", type=int, default=audit["seed_base"],
+        "--seed-base", type=_COUNT, default=audit["seed_base"],
         help="first seed; runs use seed_base..seed_base+N-1 "
              "(default: %(default)s)",
     )
-    p.add_argument("--fuel", type=int, default=audit["fuel"])
+    p.add_argument("--fuel", type=_COUNT, default=audit["fuel"])
     p.add_argument(
         "--explore", action=argparse.BooleanOptionalAction,
         default=audit["explore"],
@@ -804,7 +816,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "yardstick (default; --no-explore skips it)",
     )
     p.add_argument(
-        "--max-states", type=int, default=audit["max_states"],
+        "--max-states", type=_COUNT, default=audit["max_states"],
         help="state budget for --explore (default: %(default)s)",
     )
     p.add_argument(
@@ -816,20 +828,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the full audit report as JSON",
     )
-    p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser(
+    p = command(
         "profile",
-        help="per-pass timing, A.3 decisions and work-counter tables",
-        parents=[tracing],
+        "per-pass timing, A.3 decisions and work-counter tables",
+        _cmd_profile,
     )
-    p.add_argument("file")
     p.add_argument("--cssa", action="store_true", help="use plain CSSA")
     p.add_argument(
         "--json", metavar="FILE", default=None,
         help="also write the profile (wall + work counters) as JSON",
     )
-    p.set_defaults(func=_cmd_profile)
 
     # No tracing parent: the daemon owns its own observability (the
     # ``ops`` request kind exposes its counters and latency histograms).
@@ -844,7 +853,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "port, printed in the ready line)",
     )
     p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_POSITIVE, default=None, metavar="N",
         help="worker threads (default: min(cpu_count, 8))",
     )
     p.add_argument(
@@ -856,8 +865,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-request stage deadline (default: 30000)",
     )
     p.add_argument(
-        "--queue-limit", type=int, default=None, metavar="N",
-        help="max in-flight requests before E_OVERLOADED (default: 4*jobs)",
+        "--queue-limit", type=_COUNT, default=None, metavar="N",
+        help="max in-flight requests before E_OVERLOADED (default: 4*jobs; "
+             "0 refuses every compile request)",
     )
     p.set_defaults(func=_cmd_serve)
 
@@ -910,11 +920,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--list", action="store_true", help="list and exit")
     p.add_argument(
-        "--repeat", type=int, default=None, metavar="N",
+        "--repeat", type=_POSITIVE, default=None, metavar="N",
         help="timed repeats per benchmark (default: 5; capped per bench)",
     )
     p.add_argument(
-        "--warmup", type=int, default=None, metavar="N",
+        "--warmup", type=_COUNT, default=None, metavar="N",
         help="untimed warmup calls per benchmark (default: 1)",
     )
     p.add_argument(
@@ -936,19 +946,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    tracer = Tracer() if getattr(args, "trace", None) else None
+    tracer = None
     try:
-        if tracer is not None:
-            with use_tracer(tracer):
-                code = args.func(args)
-        else:
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "trace", None):
+            tracer = Tracer()
+        # Without --trace the command runs under the caller's tracer.
+        with use_tracer(tracer or get_tracer()):
             code = args.func(args)
     except (ReproError, OSError) as exc:
         # One error surface for the whole CLI: the taxonomy code in
         # brackets, then the message.  Exit codes derive from the code
-        # (parse/semantic/io → 3, deadlock → 2, service trouble → 4).
+        # (usage/parse/semantic/io → 3, deadlock → 2, service trouble → 4).
         print(f"error: [{error_code(exc)}] {exc}", file=sys.stderr)
         code = exit_code_for(error_code(exc))
     # Export whatever was captured, even on a non-zero exit — a failing

@@ -47,7 +47,7 @@ class CSSAMEForm(CSSAForm):
         super().__init__(cssa.program, cssa.graph, cssa.ssa, cssa.pis, cssa.shared)
         self.structures = structures
         self.rewrite_stats = rewrite_stats
-        #: event-ordering pruning results (None when prune_events=False)
+        #: event-ordering pruning results (None when ``prune=False``)
         self.ordering_stats = ordering_stats
 
     def mutex_bodies(self) -> list:
@@ -57,15 +57,14 @@ class CSSAMEForm(CSSAForm):
 def build_cssame(
     program: ProgramIR,
     prune: bool = True,
-    prune_events: bool = True,
 ) -> CSSAMEForm:
     """Convert a non-SSA ``program`` (in place) to CSSAME form.
 
     With ``prune=False`` the π terms are left untouched (plain CSSA,
     the baseline the paper compares against in Figures 3–4); in that
-    mode event-ordering pruning is skipped too.  ``prune_events``
-    controls the inherited Lee-et-al. guaranteed-ordering refinement
-    (π arguments whose definition must execute after the use).
+    mode the inherited Lee-et-al. guaranteed-ordering refinement (π
+    arguments whose definition must execute after the use) is skipped
+    too.
     """
     tracer = get_tracer()
     with tracer.span("build-cssame", prune=prune) as outer:
@@ -89,15 +88,14 @@ def build_cssame(
                     args_removed=stats.args_removed,
                     pis_deleted=stats.pis_deleted,
                 )
-            if prune_events:
-                with tracer.span("ordering") as sp:
-                    ordering_stats = prune_pi_terms_by_ordering(
-                        program, cssa.graph, cssa.ssa.domtree
-                    )
-                    sp.set(
-                        args_removed=ordering_stats.args_removed,
-                        pis_deleted=ordering_stats.pis_deleted,
-                    )
+            with tracer.span("ordering") as sp:
+                ordering_stats = prune_pi_terms_by_ordering(
+                    program, cssa.graph, cssa.ssa.domtree
+                )
+                sp.set(
+                    args_removed=ordering_stats.args_removed,
+                    pis_deleted=ordering_stats.pis_deleted,
+                )
         form = CSSAMEForm(cssa, structures, stats, ordering_stats)
         outer.set(mutex_bodies=len(form.mutex_bodies()))
     return form

@@ -16,8 +16,9 @@ so every π with the same conflict set, in the same body, whose use is
 equally exposed loses the same arguments: the theorems are applied once
 per such key and the πs share the resulting set.  The per-argument
 decision is :class:`~repro.cssame.exposure.MutexBodyOracle`'s, which
-CSCC also asks before it stores a constant φ.  The decision events
-are still emitted per π and per argument, in π order.
+CSCC also asks before it stores a constant φ.  The trace records
+each decision once too: one :class:`~repro.obs.events.PiArgsRemoved`
+per key that removed an argument, listing the πs that share it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.ir.expr import EVar
 from repro.ir.stmts import ConflictSet, Pi
 from repro.ir.structured import Body, ProgramIR, iter_statements, remove_stmt
 from repro.mutex.structures import MutexBody, MutexStructure
-from repro.obs.events import PiArgRemoved, PiDeleted
+from repro.obs.events import PiArgsRemoved, PiDeleted
 from repro.obs.prof import record_work
 from repro.obs.trace import get_tracer
 from repro.ssa.chains import build_use_map
@@ -155,6 +156,9 @@ def rewrite_pi_terms(
     stats.args_before = sum(len(pi.conflicts) for pi in pis)
 
     rewrite = _Rewrite(graph)
+    #: one record per key that removed arguments, in first-use order;
+    #: each key has its own ``removed`` list, so its id names the key
+    records: dict[int, PiArgsRemoved] = {}
     for _lock_name, structure in sorted(structures.items()):
         for body in structure.bodies:
             for block_id in sorted(body.nodes):
@@ -169,17 +173,28 @@ def rewrite_pi_terms(
                     )
                     stmt.conflict_set = kept
                     stats.args_removed += len(removed)
-                    if tracer.enabled:
-                        for arg, reason in removed:
-                            _record_removal(tracer, structure, stmt, arg, reason)
+                    if removed and tracer.enabled:
+                        record = records.get(id(removed))
+                        if record is None:
+                            record = records[id(removed)] = PiArgsRemoved(
+                                structure.lock_name,
+                                stmt.var_name,
+                                body.lock_node,
+                                exposed,
+                                removed,
+                            )
+                        record.pis.append(stmt)
 
+    for record in records.values():
+        tracer.event(record)
+        for _arg, reason in record.removed:
+            tracer.counter(f"cssame.args_removed.{reason}").inc(len(record.pis))
     for pi, nuses in delete_reduced_pis(program, graph, pis):
         stats.pis_deleted += 1
         if tracer.enabled:
             tracer.event(
                 PiDeleted(pi.var_name, pi.target, pi.control.ssa_name, nuses)
             )
-            tracer.counter("cssame.pis_deleted").inc()
     record_work(
         "rewrite-pi",
         pi_terms=stats.pis_before,
@@ -189,16 +204,3 @@ def rewrite_pi_terms(
         sets_rewritten=len(rewrite._results),
     )
     return stats
-
-
-def _record_removal(
-    tracer, structure: MutexStructure, pi: Pi, arg: EVar, reason: str
-) -> None:
-    """Log one A.3 conflict-argument removal with its theorem."""
-    if not tracer.enabled:
-        return
-    tracer.event(
-        PiArgRemoved(structure.lock_name, pi.var_name, pi.target, arg.ssa_name, reason)
-    )
-    tracer.counter("cssame.args_removed").inc()
-    tracer.counter(f"cssame.args_removed.{reason}").inc()

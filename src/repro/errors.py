@@ -59,6 +59,7 @@ __all__ = [
     "StepLimitExceeded",
     "TransformError",
     "UnsupportedRequest",
+    "UsageError",
     "VMError",
     "error_code",
     "error_frame",
@@ -212,6 +213,20 @@ class SemanticError(ReproError):
     """
 
     code = E_SEMANTIC
+
+
+class UsageError(ReproError):
+    """A command line the CLI cannot accept: an unknown or missing
+    argument, or an option value outside its range."""
+
+    code = E_USAGE
+
+
+class UsageError(ReproError):
+    """A command line the CLI cannot accept: an unknown or missing
+    argument, or an option value outside its range."""
+
+    code = E_USAGE
 
 
 class CFGError(ReproError):

@@ -19,7 +19,7 @@ from repro.obs.events import (
     MutexBodyDiscovered,
     PassEnd,
     PassStart,
-    PiArgRemoved,
+    PiArgsRemoved,
     PiDeleted,
     REASON_DOES_NOT_REACH_EXIT,
     REASON_NOT_UPWARD_EXPOSED,
@@ -67,7 +67,7 @@ __all__ = [
     "NullTracer",
     "PassEnd",
     "PassStart",
-    "PiArgRemoved",
+    "PiArgsRemoved",
     "PiDeleted",
     "REASON_DOES_NOT_REACH_EXIT",
     "REASON_NOT_UPWARD_EXPOSED",

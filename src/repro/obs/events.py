@@ -28,7 +28,7 @@ __all__ = [
     "MutexBodyDiscovered",
     "PassEnd",
     "PassStart",
-    "PiArgRemoved",
+    "PiArgsRemoved",
     "PiDeleted",
     "REASON_DOES_NOT_REACH_EXIT",
     "REASON_NOT_UPWARD_EXPOSED",
@@ -57,8 +57,9 @@ class Event:
         self.ts = 0.0  # stamped by the tracer at record time
 
     def payload(self) -> dict:
-        """The event-specific fields (JSON-serializable, no timestamp)."""
-        return {}
+        """The event-specific fields (JSON-serializable, no timestamp);
+        by default each slot under its own name."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def as_dict(self) -> dict:
         return {"type": "event", "kind": self.kind, "ts": self.ts, **self.payload()}
@@ -111,43 +112,43 @@ class MutexBodyDiscovered(Event):
         self.unlock_node = unlock_node
         self.num_nodes = num_nodes
 
-    def payload(self) -> dict:
-        return {
-            "lock": self.lock,
-            "lock_node": self.lock_node,
-            "unlock_node": self.unlock_node,
-            "num_nodes": self.num_nodes,
-        }
 
+class PiArgsRemoved(Event):
+    """One Algorithm A.3 decision that removed conflict arguments.
 
-class PiArgRemoved(Event):
-    """Algorithm A.3 removed one conflict argument from a π term.
-
-    ``reason`` is :data:`REASON_NOT_UPWARD_EXPOSED` (Theorem 2, judged
-    at the protected use) or :data:`REASON_DOES_NOT_REACH_EXIT`
-    (Theorem 1, judged at the conflicting definition).
+    A.3 decides once per (conflict set, mutex body, exposure of the
+    use, variable) key, and every π of the key loses the same
+    arguments, so one record covers them all: ``pis`` lists the πs in
+    walk order and ``removed`` the ``(argument, reason)`` pairs in set
+    order.  ``reason`` is :data:`REASON_NOT_UPWARD_EXPOSED` (Theorem 2,
+    judged at the protected use) or :data:`REASON_DOES_NOT_REACH_EXIT`
+    (Theorem 1, judged at the conflicting definition).  The record
+    holds A.3's own objects; names are rendered only by
+    :meth:`payload`.
     """
 
-    kind = "pi-arg-removed"
-    __slots__ = ("lock", "var", "pi", "arg", "reason")
+    kind = "pi-args-removed"
+    __slots__ = ("lock", "var", "lock_node", "exposed", "pis", "removed")
 
     def __init__(
-        self, lock: str, var: str, pi: str, arg: str, reason: str
+        self, lock: str, var: str, lock_node: int, exposed: bool, removed: list
     ) -> None:
         super().__init__()
         self.lock = lock
         self.var = var
-        self.pi = pi
-        self.arg = arg
-        self.reason = reason
+        self.lock_node = lock_node
+        self.exposed = exposed
+        self.pis: list = []
+        self.removed = removed
 
     def payload(self) -> dict:
         return {
             "lock": self.lock,
             "var": self.var,
-            "pi": self.pi,
-            "arg": self.arg,
-            "reason": self.reason,
+            "lock_node": self.lock_node,
+            "exposed": self.exposed,
+            "pis": [pi.target for pi in self.pis],
+            "removed": [[arg.ssa_name, reason] for arg, reason in self.removed],
         }
 
 
@@ -165,14 +166,6 @@ class PiDeleted(Event):
         self.pi = pi
         self.redirected_to = redirected_to
         self.uses_redirected = uses_redirected
-
-    def payload(self) -> dict:
-        return {
-            "var": self.var,
-            "pi": self.pi,
-            "redirected_to": self.redirected_to,
-            "uses_redirected": self.uses_redirected,
-        }
 
 
 # -- VM runtime events -------------------------------------------------------
@@ -247,33 +240,14 @@ class LockHeldInterval(Event):
         }
 
 
-class LockBlockedInterval(Event):
+class LockBlockedInterval(LockHeldInterval):
     """One contiguous interval a thread spent blocked on a lock.
 
     Closes when the blocked thread finally acquires (or at run end,
     flushed with ``open=True`` — the deadlock signature)."""
 
     kind = "lock-blocked-interval"
-    __slots__ = ("lock", "tid", "from_step", "to_step", "open")
-
-    def __init__(
-        self, lock: str, tid: tuple, from_step: int, to_step: int, open: bool = False
-    ) -> None:
-        super().__init__()
-        self.lock = lock
-        self.tid = tid
-        self.from_step = from_step
-        self.to_step = to_step
-        self.open = open
-
-    def payload(self) -> dict:
-        return {
-            "lock": self.lock,
-            "tid": tid_str(self.tid),
-            "from_step": self.from_step,
-            "to_step": self.to_step,
-            "open": self.open,
-        }
+    __slots__ = ()
 
 
 class HappensBeforeEdge(Event):

@@ -5,8 +5,10 @@
 CSCC then work once per set.  The oracles below are the per-π,
 per-argument formulations those passes replaced, written out
 literally.  Run in their place, they must give the same expanded
-listings after every phase, the same A.3 decision events and the same
-form counts.  The other tests pin the properties the factoring relies
+listings after every phase, the same A.3 decisions and the same form
+counts: the oracle logs each removal as a (lock, variable, π, argument,
+reason) tuple, and A.3's decision records, expanded over their πs and
+removed arguments, must give the same tuples.  The other tests pin the properties the factoring relies
 on: copy-on-write, linear stored size, and sharing that survives
 ``clone_program`` and pickling.
 """
@@ -23,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cssame import build_cssame, parallel_reaching_definitions
 from repro.cssame.exposure import BodyDataflow
 from repro.cssame.ordering import EventOrdering, OrderingStats
-from repro.cssame.rewrite import RewriteStats, _record_removal
+from repro.cssame.rewrite import RewriteStats
 from repro.errors import AnalysisError
 from repro.ir.expr import EVar
 from repro.ir.printer import format_ir
@@ -72,6 +74,10 @@ def _delete_reduced(program, graph, pis):
     return deleted
 
 
+#: the per-argument oracle's removal log, (lock, var, π, arg, reason)
+ORACLE_REMOVALS = []
+
+
 def per_argument_rewrite(program, graph, structures):
     """Algorithm A.3 judged per π and per argument."""
     stats = RewriteStats()
@@ -84,7 +90,7 @@ def per_argument_rewrite(program, graph, structures):
     def flow(body):
         return dataflow.setdefault(id(body), BodyDataflow(graph, body))
 
-    for _lock, structure in sorted(structures.items()):
+    for lock, structure in sorted(structures.items()):
         for body in structure.bodies:
             for block_id in sorted(body.nodes):
                 for pi in graph.blocks[block_id].stmts:
@@ -97,30 +103,29 @@ def per_argument_rewrite(program, graph, structures):
                             raise AnalysisError(f"bad π argument {arg!r}")
                         def_block, def_index = graph.location_of(arg.def_site)
                         other = structure.body_of_block(def_block)
+                        reason = None
                         if other is None or other is body:
-                            kept.append(arg)
+                            pass
                         elif not flow(body).upward_exposed(
                             pi.var_name, use_block, use_index
                         ):
-                            stats.args_removed += 1
-                            _record_removal(
-                                tracer, structure, pi, arg, REASON_NOT_UPWARD_EXPOSED
-                            )
+                            reason = REASON_NOT_UPWARD_EXPOSED
                         elif not flow(other).reaches_exit(
                             pi.var_name, def_block, def_index
                         ):
-                            stats.args_removed += 1
-                            _record_removal(
-                                tracer, structure, pi, arg, REASON_DOES_NOT_REACH_EXIT
-                            )
-                        else:
+                            reason = REASON_DOES_NOT_REACH_EXIT
+                        if reason is None:
                             kept.append(arg)
+                            continue
+                        stats.args_removed += 1
+                        ORACLE_REMOVALS.append(
+                            (lock, pi.var_name, pi.target, arg.ssa_name, reason)
+                        )
                     pi.conflicts = kept
     for pi, nuses in _delete_reduced(program, graph, pis):
         stats.pis_deleted += 1
         if tracer.enabled:
             tracer.event(PiDeleted(pi.var_name, pi.target, pi.control.ssa_name, nuses))
-            tracer.counter("cssame.pis_deleted").inc()
     return stats
 
 
@@ -191,31 +196,42 @@ def use_oracles(patch):
 
 # -- what must match ------------------------------------------------------
 
-DECISIONS = ("pi-arg-removed", "pi-deleted")
+def expand(records):
+    """A.3 decision records as (lock, var, π, arg, reason) tuples."""
+    return [
+        (r.lock, r.var, pi.target, arg.ssa_name, reason)
+        for r in records
+        for pi in r.pis
+        for arg, reason in r.removed
+    ]
 
 
-def journey(source):
-    """Listings after every phase, A.3 decisions and form counts."""
+def journey(source, removals):
+    """Listings after every phase, A.3 decisions and form counts;
+    ``removals(tracer)`` reads the removal tuples."""
     tracer = Tracer()
     with use_tracer(tracer):
         report = optimize(build(source))
-    events = [
-        (e.kind, e.payload()) for e in tracer.events() if e.kind in DECISIONS
-    ]
+    pi_kinds = {e.kind for e in tracer.events() if e.kind.startswith("pi-")}
+    assert pi_kinds <= {"pi-args-removed", "pi-deleted"}
     cssa = measure_form(build_cssame(build(source), prune=False).program)
     return {
         "listings": report.listings,
-        "events": events,
+        "removals": sorted(removals(tracer)),
+        "deleted": [e.payload() for e in tracer.events_of_kind("pi-deleted")],
         "form": measure_form(report.baseline).as_dict(),
         "cssa_form": cssa.as_dict(),
     }
 
 
 def assert_factored_matches(source):
-    factored = journey(source)
+    factored = journey(
+        source, lambda tracer: expand(tracer.events_of_kind("pi-args-removed"))
+    )
     with pytest.MonkeyPatch.context() as patch:
         use_oracles(patch)
-        expanded = journey(source)
+        ORACLE_REMOVALS.clear()
+        expanded = journey(source, lambda _tracer: ORACLE_REMOVALS)
     assert factored == expanded
 
 
@@ -256,6 +272,25 @@ _configs = st.builds(
 @settings(max_examples=40, deadline=None)
 def test_generated_programs_match_per_argument_oracles(config):
     assert_factored_matches(generate_source(config))
+
+
+def test_one_trace_record_per_a3_decision():
+    """A.3 records at the grain it decides: at most one record per
+    rewritten key, and the records expand to every removed argument."""
+    source = generate_source(
+        GeneratorConfig(
+            seed=20, n_threads=2, stmts_per_thread=20, n_shared=6,
+            n_locks=2, p_critical=0.6, p_if=0.2,
+        )
+    )
+    tracer = Tracer()
+    with use_tracer(tracer):
+        build_cssame(build(source))
+    work = tracer.metrics.as_dict()["counters"]
+    records = tracer.events_of_kind("pi-args-removed")
+    assert 0 < len(records) <= work["work.rewrite-pi.sets_rewritten"]
+    assert len(expand(records)) == work["work.rewrite-pi.args_removed"]
+    assert sum(len(r.pis) * len(r.removed) for r in records) == len(expand(records))
 
 
 # -- the factored form's own properties -----------------------------------

@@ -226,21 +226,6 @@ class TestPruning:
         assert form.ordering_stats.args_removed == 0
         assert len(pis(program)) == 1
 
-    def test_disabled_by_flag(self):
-        program = build(
-            """
-            x = 0;
-            cobegin
-            P: begin a = x; set(ready); end
-            C: begin wait(ready); x = 7; end
-            coend
-            print(a, x);
-            """
-        )
-        form = build_cssame(program, prune_events=False)
-        assert form.ordering_stats is None
-        assert len(pis(program)) == 1
-
     def test_no_events_no_work(self, figure2):
         form = build_cssame(figure2)
         assert form.ordering_stats.args_removed == 0

@@ -39,7 +39,32 @@ class TestStatsCommand:
         assert "== A.3 conflict-argument removals ==" in out
         assert "not-upward-exposed" in out
         assert "== final form metrics ==" in out
-        assert "cssame.args_removed" in out
+        assert "cssame.args_removed.not-upward-exposed" in out
+
+    def test_one_removal_row_per_decision_argument(self, fig2_file, capsys):
+        """Figure 2's two A.3 decisions: one shared by three πs, one
+        removing two arguments from one π (five removals in all)."""
+        assert main(["profile", fig2_file]) == 0
+        out = capsys.readouterr().out
+        table = out.split("== A.3 conflict-argument removals ==\n")[1]
+        header, *rows = table.split("\n\n")[0].splitlines()
+        assert header.split() == ["var", "arg", "lock", "reason", "pis"]
+        assert [row.split() for row in rows] == [
+            ["a", "a4", "L", "not-upward-exposed", "3"],
+            ["a", "a1", "L", "not-upward-exposed", "1"],
+            ["a", "a2", "L", "not-upward-exposed", "1"],
+        ]
+
+    def test_trace_export_holds_only_recorded_metrics(
+        self, fig2_file, tmp_path, capsys
+    ):
+        """The printed span histogram is the table's own, not the run's."""
+        out_file = tmp_path / "profile.jsonl"
+        assert main(["profile", fig2_file, "--trace", str(out_file)]) == 0
+        assert "span_wall_ms" in capsys.readouterr().out
+        metrics = load_jsonl(str(out_file))[-1]
+        assert metrics["type"] == "metrics"
+        assert "span_wall_ms" not in metrics["histograms"]
 
     def test_cssa_mode_skips_rewrite(self, fig2_file, capsys):
         assert main(["profile", "--cssa", fig2_file]) == 0
@@ -54,13 +79,18 @@ class TestTraceFlag:
         assert main(["optimize", fig2_file, "--trace", str(out_file)]) == 0
         records = load_jsonl(str(out_file))
         kinds = {r.get("kind") for r in records if r["type"] == "event"}
-        assert "pi-arg-removed" in kinds
+        # A.3 leaves one record per decision and one event per deleted π.
+        assert {k for k in kinds if k.startswith("pi-")} == {
+            "pi-args-removed",
+            "pi-deleted",
+        }
         names = [r["name"] for r in records if r["type"] == "span"]
         assert "pass:licm" in names
         assert records[-1]["type"] == "metrics"
 
     def test_chrome_trace_acceptance_shape(self, fig2_file, tmp_path):
-        """One span per pass + one event per A.3 removal with a reason."""
+        """One span per pass + one event per A.3 decision, whose πs and
+        reasoned arguments expand to the five removals."""
         out_file = tmp_path / "t.json"
         assert main([
             "optimize", fig2_file,
@@ -72,11 +102,18 @@ class TestTraceFlag:
         passes = [e["name"] for e in events
                   if e["ph"] == "X" and e["name"].startswith("pass:")]
         assert sorted(passes) == ["pass:constprop", "pass:licm", "pass:pdce"]
-        removals = [e for e in events if e["name"] == "pi-arg-removed"]
+        decisions = [e for e in events if e["name"] == "pi-args-removed"]
+        assert len(decisions) == 2
+        removals = [
+            (pi, arg, reason)
+            for e in decisions
+            for pi in e["args"]["pis"]
+            for arg, reason in e["args"]["removed"]
+        ]
         assert len(removals) == 5
         assert all(
-            e["args"]["reason"] in ("not-upward-exposed", "does-not-reach-exit")
-            for e in removals
+            reason in ("not-upward-exposed", "does-not-reach-exit")
+            for _pi, _arg, reason in removals
         )
 
     def test_text_trace_on_run(self, fig2_file, tmp_path):

@@ -40,7 +40,7 @@ class TestJsonl:
         write_trace(traced, str(path), "jsonl")
         loaded = load_jsonl(str(path))
         assert loaded[-1]["type"] == "metrics"
-        assert loaded[-1]["counters"]["cssame.args_removed"] == 5
+        assert loaded[-1]["counters"]["cssame.args_removed.not-upward-exposed"] == 5
 
     def test_every_line_is_valid_json(self, traced, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -68,20 +68,20 @@ class TestChrome:
 
     def test_one_instant_event_per_removal_with_reason(self, traced):
         doc = export_chrome(traced)
-        removals = [
-            e for e in doc["traceEvents"] if e["name"] == "pi-arg-removed"
+        decisions = [
+            e for e in doc["traceEvents"] if e["name"] == "pi-args-removed"
         ]
         stats = None
         for e in doc["traceEvents"]:
             if e["ph"] == "X" and e["name"] == "rewrite-pi":
                 stats = e["args"]
-        assert stats is not None and len(removals) == stats["args_removed"]
-        for event in removals:
+        assert stats is not None and stats["args_removed"] == sum(
+            len(e["args"]["pis"]) * len(e["args"]["removed"]) for e in decisions
+        )
+        for event in decisions:
             assert event["ph"] == "i"
-            assert event["args"]["reason"] in (
-                "not-upward-exposed",
-                "does-not-reach-exit",
-            )
+            for _arg, reason in event["args"]["removed"]:
+                assert reason in ("not-upward-exposed", "does-not-reach-exit")
 
     def test_write_trace_chrome_is_loadable(self, traced, tmp_path):
         path = tmp_path / "trace.json"
@@ -95,8 +95,8 @@ class TestText:
     def test_summary_mentions_passes_and_metrics(self, traced):
         text = render_text(traced)
         assert "pass:constprop" in text
-        assert "pi-arg-removed x5" in text
-        assert "cssame.pis_deleted = 4" in text
+        assert "pi-args-removed x2" in text
+        assert "pi-deleted x4" in text
 
     def test_write_trace_text(self, traced, tmp_path):
         path = tmp_path / "trace.txt"

@@ -31,18 +31,25 @@ class TestPipelineEvents:
         with use_tracer(tracer):
             report = Session().optimize(FIGURE2_SOURCE)
         stats = report.form.rewrite_stats
-        removed = tracer.events_of_kind("pi-arg-removed")
-        assert len(removed) == stats.args_removed == 5
+        decisions = tracer.events_of_kind("pi-args-removed")
+        removed = sum(len(e.pis) * len(e.removed) for e in decisions)
+        assert removed == stats.args_removed == 5
         deleted = tracer.events_of_kind("pi-deleted")
         assert len(deleted) == stats.pis_deleted == 4
-        assert tracer.metrics.counters["cssame.args_removed"].value == 5
+        assert tracer.metrics.counters[
+            "cssame.args_removed.not-upward-exposed"
+        ].value == 5
 
     def test_removal_reasons_are_theorems(self):
         tracer = Tracer()
         with use_tracer(tracer):
             Session().analyze(FIGURE1_SOURCE)
-        for event in tracer.events_of_kind("pi-arg-removed"):
-            assert event.reason in ("not-upward-exposed", "does-not-reach-exit")
+        decisions = tracer.events_of_kind("pi-args-removed")
+        assert decisions
+        for event in decisions:
+            assert event.pis and event.removed
+            for _arg, reason in event.removed:
+                assert reason in ("not-upward-exposed", "does-not-reach-exit")
             assert event.lock == "L"
 
     def test_mutex_body_events_match_form(self):

@@ -45,6 +45,37 @@ class TestErrorTaxonomyOnStderr:
         assert main(["analyze", str(bad)]) == 3
         assert capsys.readouterr().err.startswith("error: [E_PARSE]")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["run", "{file}", "--seed", "abc"],
+            ["serve", "--jobs", "0"],
+            ["batch", "{dir}", "--jobs", "0"],
+            ["serve", "--queue-limit", "-1"],
+            ["run", "{file}", "--fuel", "-5"],
+            ["audit", "{file}", "--runs", "-1"],
+            ["audit", "{file}", "--seed-base", "-1"],
+            ["explore", "{file}", "--max-states", "-1"],
+            ["bench", "--repeat", "0"],
+            ["bench", "--warmup", "-1"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-{}") for a in argv),
+    )
+    def test_usage_error_is_e_usage(self, argv, fig1_file, monkeypatch, capsys):
+        """Rejected while parsing: no command runs, so no server starts
+        and no VM executes."""
+        import repro.cli
+
+        for name in dir(repro.cli):
+            if name.startswith("_cmd_"):
+                monkeypatch.setattr(repro.cli, name, None)
+        fields = {"file": fig1_file, "dir": str(Path(fig1_file).parent)}
+        assert main([a.format(**fields) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [E_USAGE]")
+        assert err.count("\n") == 1
+
 
 class TestRequestCommand:
     def test_request_diagnostics(self, server, fig1_file, capsys):
